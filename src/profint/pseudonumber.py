@@ -337,6 +337,13 @@ def _tokenize(text: str):
     return out
 
 
+def _literal(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:  # longer than the interpreter's int/str digit limit
+        raise InputError(f"integer literal of {len(token)} digits is too long") from None
+
+
 class _Parser:
     def __init__(self, text: str, pi: Supernatural | None):
         self.text = text
@@ -385,7 +392,7 @@ class _Parser:
         if tok == "[":
             return self.bracket()
         if tok is not None and tok.isdigit():
-            return from_integer(int(self.take()))
+            return from_integer(_literal(self.take()))
         raise InputError(
             f"expected an integer or [base^(w-k)] in {self.text!r}, got {tok!r}"
         )
@@ -395,7 +402,7 @@ class _Parser:
         tok = self.take()
         if not tok.isdigit():
             raise InputError(f"expected a base inside [...] in {self.text!r}")
-        base = int(tok)
+        base = _literal(tok)
         self.take("^")
         self.take("(")
         self.take("w")
@@ -403,7 +410,7 @@ class _Parser:
         tok = self.take()
         if not tok.isdigit():
             raise InputError(f"expected an offset after w- in {self.text!r}")
-        offset = int(tok)
+        offset = _literal(tok)
         self.take(")")
         self.take("]")
         if self.pi is None:
@@ -413,4 +420,6 @@ class _Parser:
 
 def parse_pseudonumber(text: str, pi: Supernatural | None = None) -> Pseudonumber:
     """Parse ``3 + 2*[6^(w-2)] - [5^(w-1)]``; bases are validated against pi."""
+    if not isinstance(text, str):
+        raise InputError(f"a pseudonumber must be given as text, got {type(text).__name__}")
     return _Parser(text, pi).parse()

@@ -38,15 +38,7 @@ from .pseudonumber import (
     omega_power,
 )
 from .supernatural import INFINITY, Supernatural
-from .word_problem import Verdict, equal_vectors, is_zero, refuting_modulus
-
-
-def _coerce(value) -> Pseudonumber:
-    if isinstance(value, Pseudonumber):
-        return value
-    if isinstance(value, int):
-        return from_integer(value)
-    raise InputError(f"expected a pseudonumber or integer, got {value!r}")
+from .word_problem import Verdict, _coerce, equal_vectors, is_zero, refuting_modulus
 
 
 class SigmaMatrix:
@@ -155,7 +147,7 @@ def solve_single_with_refutation(pi: Supernatural, u, v):
     # remainder side: coefficients clear to integers and c_u*c_v is a unit
     if value_u == 0:
         if not rest.congruent(value_v, 0):
-            return None, refuting_modulus(rest, value_v, c_u * c_v)
+            return None, refuting_modulus(rest, value_v)
         x2 = from_integer(0)
     else:
         sign = 1 if value_u > 0 else -1

@@ -294,6 +294,10 @@ def parse_supernatural(text: str) -> Supernatural:
     Primes must be distinct and ascending; exponents are naturals or ``inf``.
     The prime list may be empty (``default=inf`` alone is accepted).
     """
+    if not isinstance(text, str):
+        raise InputError(
+            f"a supernatural number must be given as text, got {type(text).__name__}"
+        )
     compact = "".join(text.split())
     if not compact:
         raise InputError("empty supernatural number")

@@ -2,19 +2,22 @@
 every finite abelian group whose exponent divides the ambient supernatural
 number.
 
-The decision splits the ambient at the primes of the combined clearing
-factor c = c_u * c_v: on the extracted finite part M both sides are compared
-as residues, and on the remaining part c is a unit, so c*u and c*v (which
-clear to integers) decide the rest, with c cancelled.  Every NotEqual verdict
-carries a finite witness modulus whose residues separate u and v.
+The decision splits the ambient at the stored primes of positive finite
+exponent that divide some base of u or v.  On the extracted finite part M
+both sides are compared as residues mod M.  On the remaining part every base
+is a unit, so ``[b^(w-k)]`` is the rational ``b^(-k)`` and u - v is a
+rational whose denominator d = lcm(b^k) is a unit there; the integer
+d*(u - v) decides the rest.  Every NotEqual verdict carries a finite witness
+modulus whose residues separate u and v.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
-from ._numutil import primes_from, valuation
+from ._numutil import valuation
 from .errors import InputError
-from .pseudonumber import Pseudonumber, clearing_factor, eval_mod, from_integer
+from .pseudonumber import Pseudonumber, eval_mod, from_integer
 from .supernatural import Supernatural
 
 
@@ -48,42 +51,43 @@ def _coerce(value) -> Pseudonumber:
     raise InputError(f"expected a pseudonumber or integer, got {value!r}")
 
 
-def refuting_modulus(rest: Supernatural, delta: int, unit: int) -> int:
-    """A finite divisor of `rest`, coprime to `unit`, where the nonzero
-    integer discrepancy `delta` survives reduction.
+def refuting_modulus(rest: Supernatural, delta: int) -> int:
+    """A finite divisor of `rest` where the nonzero integer discrepancy
+    `delta` survives reduction.
 
-    Preference order: a power q^k of the least prime q of infinite exponent
-    with k > v_q(delta); failing that, a prime of positive exponent dividing
-    neither delta nor unit; for a finite `rest`, its integer value.
+    For a finite `rest`, its integer value; otherwise a power q^k of the
+    least prime q of infinite exponent with k > v_q(delta), which exists
+    because a supernatural number that is not finite has such a prime.
     """
     if rest.is_finite():
         return rest.as_integer()
     q = rest.smallest_infinite_prime()
-    if q is not None:
-        return q ** (valuation(delta, q) + 1)
-    # unreachable with the table-plus-default representation, kept for safety
-    for p in primes_from(2):
-        if rest.exponent_of(p) >= 1 and delta % p and unit % p:
-            return p
-    raise AssertionError("no refuting modulus found")
+    return q ** (valuation(delta, q) + 1)
+
+
+def _scaled_sum(u: Pseudonumber, d: int) -> int:
+    """d*u on the part of the ambient where every base of u is a unit,
+    for d a multiple of every base^offset of u."""
+    return d * u.const + sum(t.coeff * (d // t.base**t.offset) for t in u.terms)
 
 
 def equal_in_ab(pi: Supernatural, u, v) -> Verdict:
     """Decide whether u = v holds in every finite quotient allowed by pi."""
     u, v = _coerce(u), _coerce(v)
-    c_u, value_u = clearing_factor(pi, u)
-    c_v, value_v = clearing_factor(pi, v)
-    c = c_u * c_v
-    # primes of c with exponent 0 change neither side of the split
-    finite_part, rest = pi.split(pi.positive_finite_primes_of(c))
+    # d has exactly the primes of the bases; those of exponent 0 change
+    # neither side of the split
+    d = lcm(*(t.base**t.offset for t in u.terms + v.terms))
+    finite_part, rest = pi.split(pi.positive_finite_primes_of(d))
+    # eval_mod rejects a side whose ambient is not pi; both calls run before
+    # any verdict
     residue_u = eval_mod(u, finite_part, pi)
     residue_v = eval_mod(v, finite_part, pi)
     if residue_u != residue_v:
         return Verdict.no(finite_part, residue_u, residue_v)
-    lhs, rhs = c_v * value_u, c_u * value_v
-    if rest.congruent(lhs, rhs):
+    delta = _scaled_sum(u, d) - _scaled_sum(v, d)
+    if rest.congruent(delta, 0):
         return Verdict.yes()
-    n = refuting_modulus(rest, lhs - rhs, c)
+    n = refuting_modulus(rest, delta)
     return Verdict.no(n, eval_mod(u, n, pi), eval_mod(v, n, pi))
 
 

@@ -99,6 +99,24 @@ def test_solve_malformed(capsys, monkeypatch):
     assert code == 2
 
 
+def test_solve_non_text_ambient(capsys, monkeypatch):
+    doc = {"pi": 3, "matrix": [["1"]], "rhs": ["1"]}
+    code, out, err = run_cli(
+        ["solve"], stdin_text=json.dumps(doc), monkeypatch=monkeypatch, capsys=capsys
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_decide_overlong_literal(capsys, monkeypatch):
+    # longer than the interpreter's default int/str limit of 4300 digits
+    code, out, err = run_cli(
+        ["decide", "--pi", "3^inf;default=0", "1" * 5000, "1"], capsys=capsys
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_closure(capsys, monkeypatch):
     code, out, _ = run_cli(
         ["closure", "--pi", "2^inf;default=0", "--constraint", "(1,0)+(2,1)N"],

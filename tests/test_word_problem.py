@@ -3,7 +3,12 @@ import random
 import pytest
 
 from profint import (
+    INFINITY,
     InputError,
+    Pseudonumber,
+    SigmaMatrix,
+    Supernatural,
+    clearing_factor,
     equal_in_ab,
     equal_vectors,
     eval_mod,
@@ -11,8 +16,10 @@ from profint import (
     is_zero,
     omega_power,
     parse_supernatural,
+    solve_system,
 )
-from conftest import random_pseudonumber, random_supernatural, sample_moduli
+from profint.supernatural import valuation
+from conftest import PRIME_POOL, random_pseudonumber, random_supernatural, sample_moduli
 
 PI = parse_supernatural("3^1,5^inf;default=0")
 
@@ -132,3 +139,105 @@ def test_finite_ambient_differential_against_single_congruence():
         v = random_pseudonumber(rng, pi, max_terms=3, coeff_limit=20)
         expected = eval_mod(u, modulus, pi) == eval_mod(v, modulus, pi)
         assert bool(equal_in_ab(pi, u, v)) == expected
+
+
+# -- differential check against the clearing-factor decision ------------------
+
+
+def clearing_reference(pi, u, v):
+    """The verdict fields (equal, witness_modulus, residue_u, residue_v),
+    decided by clearing both sides to integers: split pi at the primes of
+    c = c_u * c_v, compare residues on the finite part, and c_v*value_u with
+    c_u*value_v on the rest, where c is a unit.  Also names the part that
+    decided: "finite", "rest" or None for equal."""
+    u, v = (x if isinstance(x, Pseudonumber) else from_integer(x) for x in (u, v))
+    c_u, value_u = clearing_factor(pi, u)
+    c_v, value_v = clearing_factor(pi, v)
+    finite_part, rest = pi.split(pi.positive_finite_primes_of(c_u * c_v))
+    residue_u, residue_v = eval_mod(u, finite_part, pi), eval_mod(v, finite_part, pi)
+    if residue_u != residue_v:
+        return (False, finite_part, residue_u, residue_v), "finite"
+    lhs, rhs = c_v * value_u, c_u * value_v
+    if rest.congruent(lhs, rhs):
+        return (True, None, None, None), None
+    if rest.is_finite():
+        n = rest.as_integer()
+    else:
+        q = rest.smallest_infinite_prime()
+        n = q ** (valuation(lhs - rhs, q) + 1)
+    return (False, n, eval_mod(u, n, pi), eval_mod(v, n, pi)), "rest"
+
+
+def verdict_fields(verdict):
+    return verdict.equal, verdict.witness_modulus, verdict.residue_u, verdict.residue_v
+
+
+def rewritten(u):
+    """u with every term c*[b^(w-k)] written as c*b*[b^(w-k-1)]."""
+    return Pseudonumber(
+        u.const, [(t.base, t.offset + 1, t.coeff * t.base) for t in u.terms], u.pi
+    )
+
+
+def finite_table(rng):
+    return {p: rng.randint(0, 4) for p in PRIME_POOL if rng.random() < 0.7}
+
+
+def test_verdict_matches_clearing_reference():
+    rng = random.Random(25)
+    seen = {"inf_default": 0, "finite_rest": 0, None: 0, "finite": 0, "rest": 0}
+    for round_ in range(240):
+        kind = round_ % 3
+        if kind == 0:
+            pi = random_supernatural(rng)
+        elif kind == 1:
+            pi = Supernatural(finite_table(rng), INFINITY)
+        else:
+            pi = Supernatural(finite_table(rng), 0)  # every split leaves a finite rest
+        seen["inf_default"] += pi.default == INFINITY
+        seen["finite_rest"] += pi.is_finite()
+        u = random_pseudonumber(rng, pi)
+        v = random_pseudonumber(rng, pi)
+        shift = rng.randint(1, 5)
+        for a, b in ((u, v), (u, rewritten(u)), (rewritten(u), v), (rewritten(u) + shift, u)):
+            expected, decided_by = clearing_reference(pi, a, b)
+            assert verdict_fields(equal_in_ab(pi, a, b)) == expected, (pi, a, b)
+            seen[decided_by] += 1
+    assert min(seen.values()) > 20, seen
+
+
+def test_verdict_matches_clearing_reference_on_solved_systems():
+    rng = random.Random(26)
+    for text, n in (
+        ("2^3,3^2,5^inf,7^1;default=0", 3),
+        ("2^3,3^2,5^inf,7^1;default=0", 4),
+        ("2^2,3^1;default=inf", 3),
+        ("2^2,3^1,5^2;default=0", 4),
+    ):
+        pi = parse_supernatural(text)
+        matrix = SigmaMatrix(
+            [[random_pseudonumber(rng, pi, max_terms=1, base_limit=14, coeff_limit=9,
+                                  offset_limit=2) for _ in range(n)] for _ in range(n)],
+            pi,
+        )
+        wanted = [random_pseudonumber(rng, pi, max_terms=2, base_limit=14, coeff_limit=9,
+                                      offset_limit=2) for _ in range(n)]
+        rhs = matrix.mul_vec(wanted)
+        solution = solve_system(pi, matrix, rhs)
+        assert solution
+        for product, target in zip(matrix.mul_vec(solution), rhs):
+            for b, equal in ((target, True), (target + 1, False)):
+                expected, _ = clearing_reference(pi, product, b)
+                assert expected[0] is equal
+                assert verdict_fields(equal_in_ab(pi, product, b)) == expected
+
+
+def test_mixed_ambients_are_rejected():
+    pi = parse_supernatural("3^1,5^inf;default=0")
+    other = parse_supernatural("3^2,5^inf;default=0")
+    u = omega_power(pi, 3, 1)
+    for args in ((other, u, 3), (other, 3, u), (pi, u, omega_power(other, 3, 1))):
+        with pytest.raises(InputError):
+            clearing_reference(*args)
+        with pytest.raises(InputError):
+            equal_in_ab(*args)
