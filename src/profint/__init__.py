@@ -25,7 +25,6 @@ from .pseudonumber import (
     clearing_factor,
     eval_mod,
     from_integer,
-    normalize,
     omega_closure,
     omega_power,
     parse_pseudonumber,
@@ -46,7 +45,6 @@ from .semilinear import (
     member_of_closure,
     parse_semilinear,
     plus_closure_generators,
-    sum_sets,
 )
 from .solver import (
     SigmaMatrix,
@@ -97,7 +95,6 @@ __all__ = [
     "from_integer",
     "is_zero",
     "member_of_closure",
-    "normalize",
     "omega_closure",
     "omega_power",
     "parse_int_matrix",
@@ -111,7 +108,6 @@ __all__ = [
     "solve_congruences",
     "solve_single",
     "solve_system",
-    "sum_sets",
     "verify_solution",
     "verify_witness",
     "__version__",

@@ -65,10 +65,6 @@ def factorint(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def prime_divisors(n: int) -> tuple[int, ...]:
-    return tuple(p for p, _ in factorint(abs(n))) if n else ()
-
-
 def valuation(n: int, p: int) -> int:
     """Exponent of p in n (n != 0)."""
     if n == 0:

@@ -13,7 +13,7 @@ import sys
 from .errors import InputError, ResourceError
 from .oracle import eval_term_mod, search_quotient
 from .pseudonumber import eval_mod, parse_pseudonumber
-from .reducibility import EquationSystem, decide_and_witness
+from .reducibility import EquationSystem, _field, decide_and_witness
 from .semilinear import closure, member_of_closure, parse_semilinear
 from .solver import SigmaMatrix, solve_system, verify_solution
 from .supernatural import parse_supernatural
@@ -39,7 +39,7 @@ def _read_document(args) -> dict:
         raw = sys.stdin.read()
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past the int/str digit limit
         raise InputError(f"bad JSON document: {exc}") from None
     if not isinstance(doc, dict):
         raise InputError("document must be a JSON object")
@@ -74,12 +74,11 @@ def _cmd_decide(args) -> int:
 
 def _cmd_solve(args) -> int:
     doc = _read_document(args)
-    try:
-        pi = parse_supernatural(doc["pi"])
-        matrix_rows = doc["matrix"]
-        rhs_texts = doc["rhs"]
-    except KeyError as exc:
-        raise InputError(f"solve document needs field {exc}") from None
+    pi = parse_supernatural(_field(doc, "pi", str))
+    matrix_rows = _field(doc, "matrix", list)
+    rhs_texts = _field(doc, "rhs", list)
+    if not all(isinstance(row, list) for row in matrix_rows):
+        raise InputError("field 'matrix' must be a list of rows")
 
     def cell(x):
         return parse_pseudonumber(str(x), pi)
@@ -127,13 +126,10 @@ def _cmd_closure(args) -> int:
 
 def _cmd_member(args) -> int:
     doc = _read_document(args)
-    try:
-        pi = parse_supernatural(doc["pi"])
-        constraint_text = doc["constraint"]
-        vector_texts = doc["vector"]
-    except KeyError as exc:
-        raise InputError(f"member document needs field {exc}") from None
-    alphabet = doc.get("alphabet")
+    pi = parse_supernatural(_field(doc, "pi", str))
+    constraint_text = _field(doc, "constraint", str)
+    vector_texts = _field(doc, "vector", list)
+    alphabet = _field(doc, "alphabet", list) if doc.get("alphabet") is not None else None
     sls = parse_semilinear(constraint_text, alphabet)
     vector = [parse_pseudonumber(str(x), pi) for x in vector_texts]
     witness = member_of_closure(pi, vector, closure(pi, sls))
@@ -156,10 +152,7 @@ def _cmd_member(args) -> int:
 
 def _cmd_reduce(args) -> int:
     doc = _read_document(args)
-    try:
-        pi = parse_supernatural(doc["pi"])
-    except KeyError as exc:
-        raise InputError(f"reduce document needs field {exc}") from None
+    pi = parse_supernatural(_field(doc, "pi", str))
     system = EquationSystem.from_document(doc)
     outcome = decide_and_witness(pi, system)
     if outcome:
@@ -212,7 +205,10 @@ def _cmd_oracle(args) -> int:
             name, sep, residue = piece.partition("=")
             if not sep:
                 raise InputError(f"bad assignment {piece!r}, expected var=residue")
-            assignment[name.strip()] = int(residue)
+            try:
+                assignment[name.strip()] = int(residue)
+            except ValueError:
+                raise InputError(f"bad residue {residue!r} in {piece!r}") from None
         term = parse_term(args.expression, variables or sorted(assignment))
         value = eval_term_mod(term, assignment, args.modulus, pi)
         _emit({"residue": value}, args.format, [str(value)])

@@ -228,6 +228,16 @@ def smith_normal_form(matrix: IntMatrix) -> SnfResult:
     return SnfResult(IntMatrix(left), IntMatrix(a), IntMatrix(right))
 
 
+def solve_congruence(a: int, b: int, modulus: int) -> int | None:
+    """The least x >= 0 with a*x = b (mod modulus), or None when
+    gcd(a, modulus) does not divide b."""
+    g = gcd(a, modulus)
+    if b % g:
+        return None
+    reduced = modulus // g
+    return (b // g) * pow(a // g, -1, reduced) % reduced if reduced > 1 else 0
+
+
 def solve_congruences(matrix: IntMatrix, rhs, modulus: int):
     """A vector X with matrix @ X = rhs (mod modulus), components in
     [0, modulus), or None when the system has no solution.
@@ -248,13 +258,11 @@ def solve_congruences(matrix: IntMatrix, rhs, modulus: int):
     y = [0] * matrix.cols
     for i in range(matrix.rows):
         d = snf.diag.entries[i][i] if i < rank_bound else 0
-        r = transformed[i] % modulus
-        g = gcd(d, modulus)
-        if r % g:
+        x = solve_congruence(d, transformed[i] % modulus, modulus)
+        if x is None:
             return None
-        if d:
-            reduced = modulus // g
-            y[i] = (r // g) * pow(d // g, -1, reduced) % reduced if reduced > 1 else 0
+        if d:  # zero rows past the column count have no unknown
+            y[i] = x
     return [x % modulus for x in snf.right.mul_vec(y)]
 
 

@@ -109,17 +109,3 @@ def search_quotient(system: EquationSystem, modulus: int, pi: Supernatural):
             return candidate
     return None
 
-
-def linear_solution_exists(rows, rhs, modulus: int) -> bool:
-    """Whether the integer-residue system rows @ X = rhs (mod modulus) has a
-    solution, by exhaustive search.  Test support for refutation checks."""
-    cols = len(rows[0]) if rows else 0
-    if cols and modulus ** cols > MAX_ASSIGNMENTS:
-        raise ResourceError("search space too large")
-    for x in itertools.product(range(modulus), repeat=cols):
-        if all(
-            sum(a * v for a, v in zip(row, x)) % modulus == b % modulus
-            for row, b in zip(rows, rhs)
-        ):
-            return True
-    return False

@@ -182,9 +182,6 @@ class Pseudonumber:
 
     # -- structure ----------------------------------------------------------
 
-    def is_integer(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -239,11 +236,6 @@ def omega_closure(pi: Supernatural, base: int) -> Pseudonumber:
     if base == 1:
         return Pseudonumber(1)
     return from_integer(base) * omega_power(pi, base, 1)
-
-
-def normalize(u: Pseudonumber) -> Pseudonumber:
-    """Rebuild the normal form (idempotent; construction already applies it)."""
-    return Pseudonumber(u.const, u.terms, u.pi)
 
 
 def _resolve_ambient(pi: Supernatural | None, u: Pseudonumber) -> Supernatural:
@@ -344,12 +336,14 @@ def _literal(token: str) -> int:
         raise InputError(f"integer literal of {len(token)} digits is too long") from None
 
 
-class _Parser:
-    def __init__(self, text: str, pi: Supernatural | None):
+class _TokenParser:
+    """Cursor over a token list of (token, position) pairs, shared by the
+    recursive-descent parsers."""
+
+    def __init__(self, text: str, tokens):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = tokens
         self.pos = 0
-        self.pi = pi
 
     def peek(self):
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
@@ -365,15 +359,25 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def finish(self, result):
+        """The result, once every token has been consumed."""
+        if self.pos != len(self.tokens):
+            tok, where = self.tokens[self.pos]
+            raise InputError(f"trailing {tok!r} at position {where} in {self.text!r}")
+        return result
+
+
+class _Parser(_TokenParser):
+    def __init__(self, text: str, pi: Supernatural | None):
+        super().__init__(text, _tokenize(text))
+        self.pi = pi
+
     def parse(self) -> Pseudonumber:
         value = self.product(self.sign())
         while self.peek() in ("+", "-"):
             op = self.take()
             value = value + self.product(1 if op == "+" else -1)
-        if self.pos != len(self.tokens):
-            tok, where = self.tokens[self.pos]
-            raise InputError(f"trailing {tok!r} at position {where} in {self.text!r}")
-        return value
+        return self.finish(value)
 
     def sign(self) -> int:
         if self.peek() in ("+", "-"):

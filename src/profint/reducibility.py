@@ -24,6 +24,20 @@ from .supernatural import Supernatural
 from .terms import SigmaTerm, abelianize, parse_term
 from .word_problem import Verdict, is_zero
 
+_KINDS = {str: "text", list: "a list", dict: "an object"}
+
+
+def _field(doc: dict, name: str, kind: type):
+    """The field `name` of a JSON document, which must be of type `kind`."""
+    if name not in doc:
+        raise InputError(f"document needs field {name!r}")
+    value = doc[name]
+    if not isinstance(value, kind):
+        raise InputError(
+            f"field {name!r} must be {_KINDS[kind]}, got {type(value).__name__}"
+        )
+    return value
+
 
 @dataclass(frozen=True)
 class EquationSystem:
@@ -65,13 +79,15 @@ class EquationSystem:
         (variable -> semilinear string)."""
         from .semilinear import parse_semilinear
 
-        try:
-            alphabet = tuple(doc["alphabet"])
-            variables = tuple(doc["variables"])
-            equation_texts = list(doc["equations"])
-            constraint_texts = dict(doc["constraints"])
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"bad system document: {exc}") from None
+        alphabet, variables, equation_texts = (
+            tuple(_field(doc, name, list)) for name in ("alphabet", "variables", "equations")
+        )
+        constraint_texts = _field(doc, "constraints", dict)
+        if not all(
+            isinstance(text, str)
+            for text in alphabet + variables + equation_texts + tuple(constraint_texts.values())
+        ):
+            raise InputError("letters, variables, equations and constraints must be text")
         equations = []
         for text in equation_texts:
             lhs, sep, rhs = text.partition("=")

@@ -134,10 +134,6 @@ def closure(pi: Supernatural, sls: SemilinearSet) -> ClosedCosetUnion:
     return ClosedCosetUnion(sls.alphabet, sls.branches, pi)
 
 
-def sum_sets(left, right):
-    return left + right
-
-
 def plus_closure_generators(sls: SemilinearSet) -> SemilinearSet:
     """A single-branch set whose closure is the closure of the additive
     hull of sls: base 0, periods all nonzero bases and all periods.
@@ -203,6 +199,8 @@ def parse_semilinear(text: str, alphabet=None) -> SemilinearSet:
     """Parse ``(1,0)+(2,1)N | (0,3)+(1,1)N+(0,2)N``; bare integers are
     accepted as one-letter tuples.  ``empty`` denotes the empty set (the
     alphabet must then be supplied)."""
+    if not isinstance(text, str):
+        raise InputError(f"a semilinear set must be given as text, got {type(text).__name__}")
     body = text.strip()
     if body == "empty":
         if alphabet is None:

@@ -24,11 +24,11 @@ is already unsolvable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import lcm, prod
 
 from ._numutil import valuation
 from .errors import InputError
-from .intlinalg import IntMatrix, smith_normal_form, solve_congruences
+from .intlinalg import IntMatrix, smith_normal_form, solve_congruence, solve_congruences
 from .pseudonumber import (
     Pseudonumber,
     clearing_factor,
@@ -93,10 +93,6 @@ class SystemRefutation:
         return False
 
 
-def _omega_inv(pi: Supernatural, base: int) -> Pseudonumber:
-    return from_integer(1) if base == 1 else omega_power(pi, base, 1)
-
-
 def _infinite_part_refutation(pi: Supernatural, infinite_part: int, target: int) -> int:
     """A finite modulus dividing pi where d*x = target is unsolvable, given
     infinite_part = d does not divide target.
@@ -133,16 +129,11 @@ def solve_single_with_refutation(pi: Supernatural, u, v):
     finite_modulus, rest = pi.split(split_primes)
 
     # finite side: the congruence u*x = v (mod finite_modulus)
-    a = eval_mod(u, finite_modulus, pi)
-    b = eval_mod(v, finite_modulus, pi)
-    g = gcd(a, finite_modulus)
-    if b % g:
+    x1 = solve_congruence(
+        eval_mod(u, finite_modulus, pi), eval_mod(v, finite_modulus, pi), finite_modulus
+    )
+    if x1 is None:
         return None, finite_modulus
-    if finite_modulus == 1:
-        x1 = 0
-    else:
-        reduced = finite_modulus // g
-        x1 = (b // g) * pow(a // g, -1, reduced) % reduced if reduced > 1 else 0
 
     # remainder side: coefficients clear to integers and c_u*c_v is a unit
     if value_u == 0:
@@ -159,14 +150,11 @@ def solve_single_with_refutation(pi: Supernatural, u, v):
         t = target // infinite_part
         x2 = (
             from_integer(c_u * t * sign)
-            * _omega_inv(pi, finite_part)
-            * _omega_inv(pi, c_u * c_v)
+            * omega_power(pi, finite_part, 1)
+            * omega_power(pi, c_u * c_v, 1)
         )
 
-    glue_base = 1
-    for p in sorted(split_primes):
-        glue_base *= p
-    glue = omega_closure(pi, glue_base)
+    glue = omega_closure(pi, prod(split_primes))
     x1 = from_integer(x1)
     return x1 + glue * (x2 - x1), None
 
@@ -248,10 +236,7 @@ def solve_system(pi: Supernatural, matrix: SigmaMatrix, rhs):
         omega_closure(pi, common) * component
         for component in snf.right.mul_vec(y)
     ]
-    glue_base = 1
-    for p in split_primes:
-        glue_base *= p
-    glue = omega_closure(pi, glue_base)
+    glue = omega_closure(pi, prod(split_primes))
     return [
         from_integer(a) + glue * (b - from_integer(a)) for a, b in zip(x2, x1)
     ]

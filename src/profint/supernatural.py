@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from ._numutil import factorint, is_prime, primes_from, valuation
+from ._numutil import factorint, is_prime, primes_from
 from .errors import InputError
 
 INFINITY = float("inf")
@@ -337,16 +337,4 @@ def parse_supernatural(text: str) -> Supernatural:
     return Supernatural(pairs, default)
 
 
-def divisor_oracle(pi: Supernatural, bound: int) -> list[int]:
-    """All divisors of pi up to bound, by brute-force scan.  Test support."""
-    return [n for n in range(1, bound + 1) if pi.divisible_by(n)]
-
-
-# re-exported for callers that need the valuation alongside the class
-__all__ = [
-    "INFINITY",
-    "Supernatural",
-    "parse_supernatural",
-    "divisor_oracle",
-    "valuation",
-]
+__all__ = ["INFINITY", "Supernatural", "parse_supernatural"]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from ._numutil import is_prime
 from .errors import InputError, SignatureError
-from .pseudonumber import Pseudonumber, from_integer, omega_power
+from .pseudonumber import Pseudonumber, _literal, _TokenParser, from_integer, omega_power
 from .supernatural import Supernatural
 
 
@@ -110,35 +110,15 @@ def _tokenize(text: str):
     return cleaned
 
 
-class _TermParser:
+class _TermParser(_TokenParser):
     def __init__(self, text: str, variables):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        super().__init__(text, _tokenize(text))
         self.variables = tuple(variables)
         if "w" in self.variables:
             raise InputError("'w' is reserved and cannot be a variable name")
 
-    def peek(self):
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
-
-    def take(self, expected=None):
-        if self.pos >= len(self.tokens):
-            raise InputError(f"unexpected end of input in {self.text!r}")
-        tok, where = self.tokens[self.pos]
-        if expected is not None and tok != expected:
-            raise InputError(
-                f"expected {expected!r} at position {where} in {self.text!r}, got {tok!r}"
-            )
-        self.pos += 1
-        return tok
-
     def parse(self) -> SigmaTerm:
-        node = self.term()
-        if self.pos != len(self.tokens):
-            tok, where = self.tokens[self.pos]
-            raise InputError(f"trailing {tok!r} at position {where} in {self.text!r}")
-        return node
+        return self.finish(self.term())
 
     def term(self) -> SigmaTerm:
         node = self.factor()
@@ -150,7 +130,7 @@ class _TermParser:
 
     def _starts_factor(self):
         tok = self.peek()
-        return tok == "(" or (tok is not None and re.fullmatch(r"[A-Za-z_]\w*", tok) and tok != "w")
+        return tok == "(" or (_is_name(tok) and tok != "w")
 
     def factor(self) -> SigmaTerm:
         node = self.atom()
@@ -168,7 +148,7 @@ class _TermParser:
             node = self.term()
             self.take(")")
             return node
-        if tok is not None and re.fullmatch(r"[A-Za-z_]\w*", tok):
+        if _is_name(tok):
             self.take()
             if tok not in self.variables:
                 raise InputError(f"unknown variable {tok!r} (declared: {', '.join(self.variables)})")
@@ -184,7 +164,7 @@ class _TermParser:
                 raise InputError(f"only the power w-1 is allowed in {self.text!r}")
             return OmegaInv(node)
         if tok is not None and tok.isdigit():
-            p = int(self.take())
+            p = _literal(self.take())
             if not is_prime(p):
                 raise InputError(f"{p} is not prime in power of {self.text!r}")
             self.take("^")
@@ -200,6 +180,8 @@ class _TermParser:
 
 def parse_term(text: str, variables) -> SigmaTerm:
     """Parse a sigma-term over the declared variable names."""
+    if not isinstance(text, str):
+        raise InputError(f"a sigma-term must be given as text, got {type(text).__name__}")
     return _TermParser(text, variables).parse()
 
 

@@ -95,22 +95,20 @@ def is_zero(pi: Supernatural, u) -> Verdict:
     return equal_in_ab(pi, u, from_integer(0))
 
 
-def equal_vectors(pi: Supernatural, us, vs, labels=None) -> Verdict:
-    """Componentwise equality; reports the first failing component."""
+def equal_vectors(pi: Supernatural, us, vs) -> Verdict:
+    """Componentwise equality; reports the index of the first failing
+    component."""
     us, vs = list(us), list(vs)
     if len(us) != len(vs):
         raise InputError(f"vector lengths differ: {len(us)} vs {len(vs)}")
-    if labels is not None and len(labels) != len(us):
-        raise InputError("labels do not match the vectors")
     for index, (u, v) in enumerate(zip(us, vs)):
         verdict = equal_in_ab(pi, u, v)
         if not verdict:
-            label = labels[index] if labels is not None else index
             return Verdict.no(
                 verdict.witness_modulus,
                 verdict.residue_u,
                 verdict.residue_v,
-                component=label,
+                component=index,
             )
     return Verdict.yes()
 

@@ -4,9 +4,11 @@ All randomness is seeded per test, so failures reproduce exactly.
 """
 from __future__ import annotations
 
+import itertools
 import random
 
-from profint import INFINITY, Pseudonumber, Supernatural
+from profint import INFINITY, Pseudonumber, ResourceError, Supernatural
+from profint.oracle import MAX_ASSIGNMENTS
 
 PRIME_POOL = (2, 3, 5, 7, 11, 13)
 
@@ -58,3 +60,18 @@ def random_pseudonumber(
 def sample_moduli(pi: Supernatural, count: int, bound: int = 10**6, seed: int = 0):
     """Divisors of pi used as cross-check quotients."""
     return pi.sample_divisors(bound, count, seed=seed)
+
+
+def linear_solution_exists(rows, rhs, modulus: int) -> bool:
+    """Whether the integer-residue system rows @ X = rhs (mod modulus) has a
+    solution, by exhaustive search; checks refuting moduli."""
+    cols = len(rows[0]) if rows else 0
+    if cols and modulus ** cols > MAX_ASSIGNMENTS:
+        raise ResourceError("search space too large")
+    for x in itertools.product(range(modulus), repeat=cols):
+        if all(
+            sum(a * v for a, v in zip(row, x)) % modulus == b % modulus
+            for row, b in zip(rows, rhs)
+        ):
+            return True
+    return False

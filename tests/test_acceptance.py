@@ -25,10 +25,10 @@ from profint import (
     verify_solution,
     verify_witness,
 )
-from profint.oracle import MAX_MODULUS, linear_solution_exists, search_quotient
+from profint.oracle import MAX_MODULUS, search_quotient
 from profint.reducibility import EquationSystem
 from profint._numutil import factorint
-from conftest import random_pseudonumber, random_supernatural
+from conftest import linear_solution_exists, random_pseudonumber, random_supernatural
 
 from test_semilinear import enumerate_points, random_semilinear
 

@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from profint.cli import main
 
 
@@ -192,6 +194,39 @@ def test_reduce_unconstrained_variable(capsys, monkeypatch):
         ["reduce"], stdin_text=json.dumps(doc), monkeypatch=monkeypatch, capsys=capsys
     )
     assert code == 2 and "error" in err
+
+
+PI3 = "3^inf;default=0"
+MALFORMED_INPUTS = {
+    "member-constraint-number": (
+        ["member"],
+        json.dumps({"pi": PI3, "constraint": 3, "vector": ["1"]}),
+    ),
+    "solve-matrix-text": (["solve"], json.dumps({"pi": PI3, "matrix": "12", "rhs": ["1", "2"]})),
+    "solve-rhs-text": (["solve"], json.dumps({"pi": PI3, "matrix": [["1"]], "rhs": "1"})),
+    "solve-overlong-integer": (
+        ["solve"],
+        '{"pi": "%s", "matrix": [[%s]], "rhs": ["1"]}' % (PI3, "1" * 5000),
+    ),
+    "reduce-constraint-number": (
+        ["reduce"],
+        json.dumps(dict(REDUCE_DOC, pi=PI3, constraints={"x": 5, "y": "(1)+(1)N"})),
+    ),
+    "reduce-equation-number": (["reduce"], json.dumps(dict(REDUCE_DOC, pi=PI3, equations=[5]))),
+    "reduce-variables-text": (["reduce"], json.dumps(dict(REDUCE_DOC, pi=PI3, variables="xy"))),
+    "oracle-term-bad-residue": (
+        ["oracle", "term", "--pi", PI3, "--modulus", "3", "--variables", "x",
+         "--assign", "x=abc", "--expr", "x"],
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, stdin_text", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS)
+def test_malformed_input_exits_2(argv, stdin_text, capsys, monkeypatch):
+    code, out, err = run_cli(argv, stdin_text=stdin_text, monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_oracle_eval_and_term(capsys, monkeypatch):

@@ -12,9 +12,9 @@ from profint import (
 from profint.oracle import (
     constraint_image,
     eval_term_mod,
-    linear_solution_exists,
     search_quotient,
 )
+from conftest import linear_solution_exists
 
 PI = parse_supernatural("3^1,5^inf;default=0")
 

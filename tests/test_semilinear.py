@@ -15,7 +15,6 @@ from profint import (
     parse_semilinear,
     parse_supernatural,
     plus_closure_generators,
-    sum_sets,
 )
 from conftest import random_supernatural
 
@@ -37,7 +36,7 @@ def test_sum_examples():
     two = parse_semilinear("2+3N")
     assert str(one + two) == "(3)+(2)N+(3)N"
     point = parse_semilinear("(0)", ["a"])
-    assert sum_sets(one, point).branches == one.branches
+    assert (one + point).branches == one.branches
     empty = SemilinearSet(("a",), ())
     assert (empty + two).is_empty()
 
@@ -173,3 +172,5 @@ def test_parse_and_str_round_trip():
         parse_semilinear("(1,0)+(2)N", ["a", "b"])
     with pytest.raises(InputError):
         parse_semilinear("(1)+(0)N", ["a"])  # zero period
+    with pytest.raises(InputError):
+        parse_semilinear(3, ["a"])

@@ -16,9 +16,8 @@ from profint import (
     solve_system,
     verify_solution,
 )
-from profint.oracle import linear_solution_exists
 from profint.solver import solve_single_with_refutation
-from conftest import random_pseudonumber, random_supernatural
+from conftest import linear_solution_exists, random_pseudonumber, random_supernatural
 
 PI = parse_supernatural("3^1,5^inf;default=0")
 

@@ -3,8 +3,12 @@ import random
 import pytest
 
 from profint import INFINITY, InputError, Supernatural, parse_supernatural
-from profint.supernatural import divisor_oracle
 from conftest import random_supernatural
+
+
+def divisor_oracle(pi: Supernatural, bound: int) -> list[int]:
+    """All divisors of pi up to bound, by brute-force scan."""
+    return [n for n in range(1, bound + 1) if pi.divisible_by(n)]
 
 
 @pytest.fixture

@@ -46,6 +46,10 @@ def test_parse_rejects_garbage():
             parse_term(text, XY)
     with pytest.raises(InputError):
         parse_term("w", ("w",))
+    with pytest.raises(InputError):
+        parse_term(5, XY)
+    with pytest.raises(InputError):  # prime longer than the int/str digit limit
+        parse_term("(x)^(" + "1" * 5000 + "^(w-1))", XY)
 
 
 def test_abelianize_examples():
