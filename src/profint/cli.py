@@ -299,6 +299,9 @@ def main(argv=None) -> int:
     except (InputError, ResourceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR
+    except Exception as exc:  # exit 1 means "no", so a fault must not look like one
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return ERROR
 
 
 if __name__ == "__main__":

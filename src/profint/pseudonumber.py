@@ -172,14 +172,6 @@ class Pseudonumber:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            return NotImplemented
-        out = Pseudonumber(1)
-        for _ in range(exponent):
-            out = out * self
-        return out
-
     # -- structure ----------------------------------------------------------
 
     def __eq__(self, other):

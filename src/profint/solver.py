@@ -1,44 +1,50 @@
 """Constructive solving of u*x = v and B*X = C over the sigma-expressible
 profinite integers, with a solvability decision.
 
-Single equation.  With clearing factors c_u, c_v and the integer value of
-c_u*u split as sign * finite_part * infinite_part (primes of finite ambient
-exponent versus infinite), the ambient splits at the primes of
-c_u * c_v * finite_part into a finite modulus M and a coprime remainder.
-A solution exists iff the congruence u*x = v (mod M) is solvable and
-infinite_part divides c_u * value_v.  The witness glues the congruence
-solution x1 with the remainder-side solution
+One split, the one :mod:`profint.word_problem` decides equality with.  The
+ambient splits at its stored primes of positive finite exponent that divide a
+base of some entry of B or C into a finite modulus M and a remainder `rest`
+on which every base is a unit.
 
-    x2 = c_u * t * sign * [finite_part^(w-1)] * [(c_u c_v)^(w-1)]
+Finite side.  The residues of B and C mod M form a congruence system; when it
+has no solution, M refutes the system.
 
-(where t = c_u*value_v / infinite_part) through the idempotent G^w over the
-product G of the split primes:  w = x1 + G^w * (x2 - x1).
+Rest side.  There ``[b^(w-k)]`` is the rational ``b^(-k)``, so row i times
+d_i = lcm(b^k) over its entries and its right side is an integer row A_i with
+integer right side c_i, and d_i is a unit.  With the Smith form L*A*R = D and
+t = L*c, each diagonal equation D_ii * y_i = t_i is decided by the gcd test:
+a zero D_ii needs t_i = 0 on the rest, and otherwise g = gcd(D_ii, rest) must
+divide t_i, giving ``y_i = (t_i/g) * [(D_ii/g)^(w-1)]``.  A failing equation
+names a finite divisor of the rest where the system already fails.
 
-Systems.  Entries of B are cleared to integers by a common factor, the
-integer matrix is diagonalized (Smith), each diagonal equation is solved by
-the single-equation routine, zero rows must vanish identically, and the
-finite side is an ordinary congruence system; the two sides glue the same
-way.  Refutations always name a finite modulus at which the original system
-is already unsolvable.
+Glue.  With x1 the congruence solution and G the product of the split primes,
+the idempotent G^w is 0 on M and 1 on the rest, so the witness is
+``x1 + G^w * (R*y - x1)``.  A single equation u*x = v is the 1x1 system.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm, prod
 
-from ._numutil import valuation
 from .errors import InputError
-from .intlinalg import IntMatrix, smith_normal_form, solve_congruence, solve_congruences
+from .intlinalg import IntMatrix, smith_normal_form, solve_congruences
 from .pseudonumber import (
     Pseudonumber,
-    clearing_factor,
     eval_mod,
     from_integer,
     omega_closure,
     omega_power,
 )
-from .supernatural import INFINITY, Supernatural
-from .word_problem import Verdict, _coerce, equal_vectors, is_zero, refuting_modulus
+from .supernatural import Supernatural
+from .word_problem import (
+    Verdict,
+    _coerce,
+    _scale,
+    _scaled_sum,
+    equal_vectors,
+    is_zero,
+    refuting_modulus,
+)
 
 
 class SigmaMatrix:
@@ -93,22 +99,6 @@ class SystemRefutation:
         return False
 
 
-def _infinite_part_refutation(pi: Supernatural, infinite_part: int, target: int) -> int:
-    """A finite modulus dividing pi where d*x = target is unsolvable, given
-    infinite_part = d does not divide target.
-
-    Prefers a prime power p^v(d) over a stored prime; falls back to d itself
-    (all its primes have infinite exponent, so d divides pi, and the gcd
-    criterion fails at d by assumption)."""
-    for p, e in pi.table:
-        if e != INFINITY or infinite_part % p:
-            continue
-        v = valuation(infinite_part, p)
-        if target % p**v:
-            return p**v
-    return infinite_part
-
-
 def solve_single_with_refutation(pi: Supernatural, u, v):
     """(witness, None) if u*x = v is solvable over the completion, else
     (None, modulus) with a finite refuting modulus dividing the ambient."""
@@ -118,45 +108,10 @@ def solve_single_with_refutation(pi: Supernatural, u, v):
         if zero_v:
             return from_integer(0), None
         return None, zero_v.witness_modulus
-    c_u, value_u = clearing_factor(pi, u)
-    c_v, value_v = clearing_factor(pi, v)
-    # primes of exponent 0 are units on the remainder side either way and
-    # contribute nothing to the finite modulus, so only positive finite
-    # exponents enter the split
-    split_primes = set(pi.positive_finite_primes_of(c_u * c_v))
-    if value_u:
-        split_primes.update(pi.positive_finite_primes_of(value_u))
-    finite_modulus, rest = pi.split(split_primes)
-
-    # finite side: the congruence u*x = v (mod finite_modulus)
-    x1 = solve_congruence(
-        eval_mod(u, finite_modulus, pi), eval_mod(v, finite_modulus, pi), finite_modulus
-    )
-    if x1 is None:
-        return None, finite_modulus
-
-    # remainder side: coefficients clear to integers and c_u*c_v is a unit
-    if value_u == 0:
-        if not rest.congruent(value_v, 0):
-            return None, refuting_modulus(rest, value_v)
-        x2 = from_integer(0)
-    else:
-        sign = 1 if value_u > 0 else -1
-        infinite_part = pi.infinite_part(value_u)
-        finite_part = abs(value_u) // infinite_part
-        target = c_u * value_v
-        if target % infinite_part:
-            return None, _infinite_part_refutation(pi, infinite_part, target)
-        t = target // infinite_part
-        x2 = (
-            from_integer(c_u * t * sign)
-            * omega_power(pi, finite_part, 1)
-            * omega_power(pi, c_u * c_v, 1)
-        )
-
-    glue = omega_closure(pi, prod(split_primes))
-    x1 = from_integer(x1)
-    return x1 + glue * (x2 - x1), None
+    outcome = solve_system(pi, SigmaMatrix([[u]], pi), [v])
+    if outcome:
+        return outcome[0], None
+    return None, outcome.modulus
 
 
 def solve_single(pi: Supernatural, u, v) -> Pseudonumber | None:
@@ -185,24 +140,13 @@ def solve_system(pi: Supernatural, matrix: SigmaMatrix, rhs):
         if x.pi is not None and x.pi != pi:
             raise InputError("right side ambient differs from the matrix ambient")
 
-    cleared = [
-        [clearing_factor(pi, entry) for entry in row] for row in matrix.entries
-    ]
-    common = 1
-    for row in cleared:
-        for c, _ in row:
-            common = lcm(common, c)
-    int_matrix = IntMatrix([
-        [(common // c) * value for c, value in row] for row in cleared
-    ])
-    snf = smith_normal_form(int_matrix)
-    transformed = snf.left.mul_vec([from_integer(common) * x for x in rhs])
-
-    split_primes = pi.positive_finite_primes_of(common)
-    finite_modulus, _ = pi.split(split_primes)
+    # primes of the bases of exponent 0 change neither side of the split
+    scales = [_scale(row + (c,)) for row, c in zip(matrix.entries, rhs)]
+    split_primes = pi.positive_finite_primes_of(lcm(*scales))
+    finite_modulus, rest = pi.split(split_primes)
 
     # finite side: congruence system for the original entries
-    x2 = solve_congruences(
+    x1 = solve_congruences(
         IntMatrix([
             [eval_mod(entry, finite_modulus, pi) for entry in row]
             for row in matrix.entries
@@ -210,35 +154,34 @@ def solve_system(pi: Supernatural, matrix: SigmaMatrix, rhs):
         [eval_mod(x, finite_modulus, pi) for x in rhs],
         finite_modulus,
     )
-    if x2 is None:
+    if x1 is None:
         return SystemRefutation(finite_modulus, "congruence system unsolvable")
 
-    # remainder side: diagonal equations and zero rows
-    rank_bound = min(matrix.rows, matrix.cols)
+    # rest side: one integer system, diagonalized once
+    snf = smith_normal_form(IntMatrix([
+        [_scaled_sum(entry, d) for entry in row]
+        for row, d in zip(matrix.entries, scales)
+    ]))
+    targets = snf.left.mul_vec([_scaled_sum(c, d) for c, d in zip(rhs, scales)])
+    diagonal = snf.diagonal()
     y = [from_integer(0)] * matrix.cols
-    for i in range(matrix.rows):
-        d = snf.diag.entries[i][i] if i < rank_bound else 0
+    for i, t in enumerate(targets):
+        d = diagonal[i] if i < len(diagonal) else 0
         if d == 0:
-            vanishes = is_zero(pi, transformed[i])
-            if not vanishes:
+            if not rest.congruent(t, 0):
                 return SystemRefutation(
-                    vanishes.witness_modulus, "zero row with nonzero right side"
+                    refuting_modulus(rest, t), "zero row with nonzero right side"
                 )
-        else:
-            witness, refuted = solve_single_with_refutation(
-                pi, from_integer(d), transformed[i]
-            )
-            if witness is None:
-                return SystemRefutation(refuted, "diagonal equation unsolvable")
-            y[i] = witness
+            continue
+        g = rest.gcd(d)
+        if t % g:
+            return SystemRefutation(g, "diagonal equation unsolvable")
+        y[i] = (t // g) * omega_power(pi, d // g, 1)
 
-    x1 = [
-        omega_closure(pi, common) * component
-        for component in snf.right.mul_vec(y)
-    ]
     glue = omega_closure(pi, prod(split_primes))
     return [
-        from_integer(a) + glue * (b - from_integer(a)) for a, b in zip(x2, x1)
+        from_integer(a) + glue * (b - from_integer(a))
+        for a, b in zip(x1, snf.right.mul_vec(y))
     ]
 
 

@@ -65,6 +65,12 @@ def refuting_modulus(rest: Supernatural, delta: int) -> int:
     return q ** (valuation(delta, q) + 1)
 
 
+def _scale(values) -> int:
+    """lcm of base^offset over the terms of the values: it has exactly the
+    primes of their bases."""
+    return lcm(*(t.base**t.offset for u in values for t in u.terms))
+
+
 def _scaled_sum(u: Pseudonumber, d: int) -> int:
     """d*u on the part of the ambient where every base of u is a unit,
     for d a multiple of every base^offset of u."""
@@ -74,9 +80,8 @@ def _scaled_sum(u: Pseudonumber, d: int) -> int:
 def equal_in_ab(pi: Supernatural, u, v) -> Verdict:
     """Decide whether u = v holds in every finite quotient allowed by pi."""
     u, v = _coerce(u), _coerce(v)
-    # d has exactly the primes of the bases; those of exponent 0 change
-    # neither side of the split
-    d = lcm(*(t.base**t.offset for t in u.terms + v.terms))
+    # primes of the bases of exponent 0 change neither side of the split
+    d = _scale((u, v))
     finite_part, rest = pi.split(pi.positive_finite_primes_of(d))
     # eval_mod rejects a side whose ambient is not pi; both calls run before
     # any verdict

@@ -229,6 +229,18 @@ def test_malformed_input_exits_2(argv, stdin_text, capsys, monkeypatch):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_unexpected_failure_exits_2(capsys, monkeypatch):
+    # the witness is an integer past the int/str digit limit, so printing it
+    # raises an exception no input check names
+    nines = "9" * 3000
+    doc = {"pi": "default=inf", "matrix": [["1"]], "rhs": [f"{nines}*{nines}"]}
+    code, out, err = run_cli(
+        ["solve"], stdin_text=json.dumps(doc), monkeypatch=monkeypatch, capsys=capsys
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("internal error:") and "Traceback" not in err
+
+
 def test_oracle_eval_and_term(capsys, monkeypatch):
     code, out, _ = run_cli(
         [

@@ -84,6 +84,22 @@ def test_snf_random_matrices():
         check_snf(matrix)
 
 
+def test_snf_diagonal_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    rng = random.Random(33)
+    for _ in range(100):
+        rows = rng.randint(1, 5)
+        cols = rng.randint(1, 5)
+        entries = [[rng.randint(-12, 12) for _ in range(cols)] for _ in range(rows)]
+        if rng.random() < 0.3:  # rank deficient
+            entries.append([2 * x for x in entries[0]])
+        expected = sympy_snf(sympy.Matrix(entries), domain=sympy.ZZ)
+        diagonal = [abs(int(expected[i, i])) for i in range(min(len(entries), cols))]
+        assert smith_normal_form(IntMatrix(entries)).diagonal() == diagonal, entries
+
+
 def test_snf_deterministic():
     matrix = IntMatrix([[6, 4, 2], [2, 8, 10]])
     first = smith_normal_form(matrix)

@@ -1,23 +1,41 @@
 import random
+from math import lcm, prod
 
 import pytest
 
 from profint import (
+    INFINITY,
     InputError,
+    IntMatrix,
+    Pseudonumber,
     SigmaMatrix,
+    Supernatural,
+    clearing_factor,
     equal_in_ab,
     equal_vectors,
     eval_mod,
     from_integer,
+    is_zero,
     omega_closure,
     omega_power,
+    parse_pseudonumber,
     parse_supernatural,
+    smith_normal_form,
+    solve_congruences,
     solve_single,
     solve_system,
     verify_solution,
 )
-from profint.solver import solve_single_with_refutation
-from conftest import linear_solution_exists, random_pseudonumber, random_supernatural
+from profint._numutil import valuation
+from profint.intlinalg import solve_congruence
+from profint.solver import SystemRefutation, solve_single_with_refutation
+from profint.word_problem import refuting_modulus
+from conftest import (
+    PRIME_POOL,
+    linear_solution_exists,
+    random_pseudonumber,
+    random_supernatural,
+)
 
 PI = parse_supernatural("3^1,5^inf;default=0")
 
@@ -257,3 +275,203 @@ def test_dimension_and_ambient_validation():
     matrix = SigmaMatrix([[1, 2]], PI)
     with pytest.raises(InputError):
         solve_system(PI, matrix, [1, 2])
+
+
+# -- differential check against the clearing-based solver ----------------------
+
+
+def _reference_infinite_part_refutation(pi, infinite_part, target):
+    """A modulus dividing pi where infinite_part*x = target fails: a power
+    p^v(infinite_part) of a stored prime, else infinite_part itself."""
+    for p, e in pi.table:
+        if e != INFINITY or infinite_part % p:
+            continue
+        v = valuation(infinite_part, p)
+        if target % p**v:
+            return p**v
+    return infinite_part
+
+
+def reference_single(pi, u, v):
+    """(witness, modulus) for u*x = v as the clearing-based solver found it:
+    clear u and v to integers, split at the finite primes of the clearing
+    factors and of the cleared u, solve the congruence on the finite part,
+    divide by the infinite part of the cleared u on the rest, and glue."""
+    u, v = (x if isinstance(x, Pseudonumber) else from_integer(x) for x in (u, v))
+    if is_zero(pi, u):
+        zero_v = is_zero(pi, v)
+        return (from_integer(0), None) if zero_v else (None, zero_v.witness_modulus)
+    c_u, value_u = clearing_factor(pi, u)
+    c_v, value_v = clearing_factor(pi, v)
+    split_primes = set(pi.positive_finite_primes_of(c_u * c_v))
+    if value_u:
+        split_primes.update(pi.positive_finite_primes_of(value_u))
+    finite_modulus, rest = pi.split(split_primes)
+    x1 = solve_congruence(
+        eval_mod(u, finite_modulus, pi), eval_mod(v, finite_modulus, pi), finite_modulus
+    )
+    if x1 is None:
+        return None, finite_modulus
+    if value_u == 0:
+        if not rest.congruent(value_v, 0):
+            return None, refuting_modulus(rest, value_v)
+        x2 = from_integer(0)
+    else:
+        sign = 1 if value_u > 0 else -1
+        infinite_part = pi.infinite_part(value_u)
+        finite_part = abs(value_u) // infinite_part
+        target = c_u * value_v
+        if target % infinite_part:
+            return None, _reference_infinite_part_refutation(pi, infinite_part, target)
+        x2 = (
+            from_integer(c_u * (target // infinite_part) * sign)
+            * omega_power(pi, finite_part, 1)
+            * omega_power(pi, c_u * c_v, 1)
+        )
+    glue = omega_closure(pi, prod(split_primes))
+    return from_integer(x1) + glue * (x2 - from_integer(x1)), None
+
+
+def reference_system(pi, matrix, rhs):
+    """The clearing-based solver of matrix @ X = rhs: clear the entries by a
+    common factor, take the Smith form over Z, and solve each diagonal
+    equation with :func:`reference_single`."""
+    rhs = [x if isinstance(x, Pseudonumber) else from_integer(x) for x in rhs]
+    cleared = [[clearing_factor(pi, entry) for entry in row] for row in matrix.entries]
+    common = lcm(*(c for row in cleared for c, _ in row))
+    snf = smith_normal_form(
+        IntMatrix([[(common // c) * value for c, value in row] for row in cleared])
+    )
+    transformed = snf.left.mul_vec([from_integer(common) * x for x in rhs])
+    split_primes = pi.positive_finite_primes_of(common)
+    finite_modulus, _ = pi.split(split_primes)
+    x2 = solve_congruences(
+        IntMatrix(
+            [[eval_mod(entry, finite_modulus, pi) for entry in row] for row in matrix.entries]
+        ),
+        [eval_mod(x, finite_modulus, pi) for x in rhs],
+        finite_modulus,
+    )
+    if x2 is None:
+        return SystemRefutation(finite_modulus, "congruence system unsolvable")
+    diagonal = snf.diagonal()
+    y = [from_integer(0)] * matrix.cols
+    for i in range(matrix.rows):
+        d = diagonal[i] if i < len(diagonal) else 0
+        if d == 0:
+            vanishes = is_zero(pi, transformed[i])
+            if not vanishes:
+                return SystemRefutation(
+                    vanishes.witness_modulus, "zero row with nonzero right side"
+                )
+        else:
+            witness, refuted = reference_single(pi, from_integer(d), transformed[i])
+            if witness is None:
+                return SystemRefutation(refuted, "diagonal equation unsolvable")
+            y[i] = witness
+    x1 = [omega_closure(pi, common) * component for component in snf.right.mul_vec(y)]
+    glue = omega_closure(pi, prod(split_primes))
+    return [from_integer(a) + glue * (b - from_integer(a)) for a, b in zip(x2, x1)]
+
+
+def random_ambient(rng, kind):
+    """A default-0 or default-inf ambient with infinite exponents (kind 0),
+    or a finite one (kind 1)."""
+    if kind == 0:
+        return random_supernatural(rng)
+    return Supernatural({p: rng.randint(0, 4) for p in PRIME_POOL if rng.random() < 0.7}, 0)
+
+
+def assert_refutes(pi, matrix, rhs, modulus):
+    assert pi.divisible_by(modulus)
+    if modulus <= 50:
+        rows = [[eval_mod(entry, modulus, pi) for entry in row] for row in matrix.entries]
+        targets = [eval_mod(x, modulus, pi) for x in rhs]
+        assert not linear_solution_exists(rows, targets, modulus)
+
+
+def test_verdicts_match_clearing_reference():
+    rng = random.Random(47)
+    seen = dict.fromkeys(
+        (
+            "solvable",
+            "congruence system unsolvable",
+            "zero row with nonzero right side",
+            "diagonal equation unsolvable",
+        ),
+        0,
+    )
+    for round_ in range(300):
+        pi = random_ambient(rng, round_ % 2)
+        rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+        if round_ % 4 < 2:  # integer entries
+            entries = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        else:
+            entries = [
+                [random_pseudonumber(rng, pi, max_terms=1, base_limit=14, coeff_limit=9,
+                                     offset_limit=2) for _ in range(cols)]
+                for _ in range(rows)
+            ]
+        matrix = SigmaMatrix(entries, pi)
+        if rng.random() < 0.4:
+            wanted = [random_pseudonumber(rng, pi, max_terms=1, base_limit=14, coeff_limit=9,
+                                          offset_limit=2) for _ in range(cols)]
+            rhs = matrix.mul_vec(wanted)
+        else:
+            rhs = [random_pseudonumber(rng, pi, max_terms=1, base_limit=14, coeff_limit=9,
+                                       offset_limit=2) for _ in range(rows)]
+        outcome = solve_system(pi, matrix, rhs)
+        assert bool(outcome) == bool(reference_system(pi, matrix, rhs)), (pi, matrix.entries, rhs)
+        if outcome:
+            seen["solvable"] += 1
+            assert verify_solution(pi, matrix, rhs, outcome)
+        else:
+            seen[outcome.reason] += 1
+            assert_refutes(pi, matrix, rhs, outcome.modulus)
+    assert min(seen.values()) > 10, seen
+
+
+def test_single_verdicts_match_clearing_reference():
+    rng = random.Random(48)
+    for round_ in range(300):
+        pi = random_ambient(rng, round_ % 2)
+        u = random_pseudonumber(rng, pi, max_terms=2, coeff_limit=12)
+        v = random_pseudonumber(rng, pi, max_terms=2, coeff_limit=12)
+        witness, modulus = solve_single_with_refutation(pi, u, v)
+        expected, _ = reference_single(pi, u, v)
+        assert (witness is None) == (expected is None), (pi, u, v)
+        if witness is None:
+            assert_refutes(pi, SigmaMatrix([[u]], pi), [v], modulus)
+        else:
+            assert equal_in_ab(pi, u * witness, v)
+
+
+def test_small_witness_on_a_sigma_system():
+    # a 3x3 system whose clearing-based witness has a coefficient of more than
+    # 4300 digits, which str() refuses to print
+    pi = parse_supernatural("2^3,3^2,5^inf,7^1;default=0")
+    matrix = SigmaMatrix(
+        [
+            [parse_pseudonumber(x, pi) for x in row]
+            for row in (
+                ("8 + 9*[3^(w-2)] + 4*[4^(w-2)]", "-6", "1 + 7*[2^(w-2)]"),
+                ("9 - 3*[2^(w-1)]", "7 - 2*[3^(w-1)]", "-3 - 9*[8^(w-1)] + 6*[12^(w-2)]"),
+                ("4 - 4*[12^(w-2)]", "2", "2 + 9*[3^(w-2)]"),
+            )
+        ],
+        pi,
+    )
+    rhs = [
+        parse_pseudonumber(x, pi)
+        for x in (
+            "-21 - 39*[2^(w-2)] - 16*[12^(w-1)] + 64*[12^(w-2)] - 144*[36^(w-2)]"
+            " - 64*[48^(w-2)]",
+            "30 + 21*[2^(w-2)] - 6*[3^(w-1)] - 18*[6^(w-2)] + 27*[8^(w-1)]"
+            " - 18*[12^(w-1)] + 54*[12^(w-2)] + 6*[24^(w-1)] - 48*[24^(w-2)]",
+            "6*[2^(w-2)] - 27*[3^(w-2)] - 8*[12^(w-1)] + 32*[12^(w-2)] + 8*[12^(w-3)]"
+            " - 32*[12^(w-4)]",
+        )
+    ]
+    outcome = solve_system(pi, matrix, rhs)
+    assert outcome and verify_solution(pi, matrix, rhs, outcome)
+    assert all(str(x) for x in outcome)
