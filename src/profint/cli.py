@@ -7,6 +7,7 @@ flags or a single JSON document (stdin or --file).  Exit codes: 0 yes/equal,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -236,7 +237,9 @@ def _cmd_oracle(args) -> int:
     raise InputError(f"unknown oracle action {args.action!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="profint",
         description="Exact decision procedures over sigma-expressible profinite integers.",

@@ -13,6 +13,19 @@ duplicate (base, offset) keys and drops zero coefficients.  The resulting
 form is canonical only structurally: two distinct normal forms may denote the
 same profinite integer.  Semantic equality must go through
 :mod:`profint.word_problem`.
+
+Text form: ``3 + 2*[6^(w-2)] - [5^(w-1)]``, a signed sum of products of
+integers and brackets, with whitespace allowed between tokens and around
+the text.  :func:`parse_pseudonumber` reads it in one pass: one regular
+expression splits the text into tokens, a whole bracket ``[b^(w-k)]`` being
+one token, and each summand ``c1*c2*...*[b^(w-k)]`` goes straight into the
+constant or into one (base, offset, coeff) triple, so a value is constructed
+once; only a summand with two or more brackets is multiplied out in the
+ring.  Every bracket is checked against the ambient as it is read, even when
+its coefficient is zero or cancels later.  Token positions are worked out
+only for an error message, which names the first token a left-to-right
+reading cannot take.  :class:`_TokenParser` is the token cursor that those
+messages and the sigma-term parser of :mod:`profint.terms` share.
 """
 from __future__ import annotations
 
@@ -215,11 +228,15 @@ def from_integer(a: int) -> Pseudonumber:
     return Pseudonumber(a)
 
 
+def _check_exponents(base: int, offset: int):
+    if base < 1 or offset < 1:
+        raise InputError(f"need base >= 1 and offset >= 1, got ({base}, {offset})")
+
+
 def omega_power(pi: Supernatural, base: int, offset: int = 1) -> Pseudonumber:
     """The value ``[base^(w-offset)]``; every prime of base must have finite
     exponent in pi.  base = 1 collapses to the integer 1."""
-    if base < 1 or offset < 1:
-        raise InputError(f"need base >= 1 and offset >= 1, got ({base}, {offset})")
+    _check_exponents(base, offset)
     return Pseudonumber(0, ((base, offset, 1),), pi)
 
 
@@ -307,18 +324,12 @@ def clearing_factor(pi: Supernatural, u: Pseudonumber) -> tuple[int, int]:
 
 # -- text form ---------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(\d+|\[|\]|\^|\(|\)|w|\+|\-|\*)")
-
-
-def _tokenize(text: str):
-    pos, out = 0, []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise InputError(f"bad character at position {pos} in {text!r}")
-        out.append((m.group(1), m.start(1)))
-        pos = m.end()
-    return out
+_BAD_CHARACTER = re.compile(r"[^\s\d\[\]^()w+*-]")
+# (token, base, offset); base and offset are set exactly when the token is
+# a whole bracket, whose token text starts with its '['
+_TOKEN = re.compile(
+    r"\s*(\[\s*(\d+)\s*\^\s*\(\s*w\s*-\s*(\d+)\s*\)\s*\]|\d+|[][^()w+*-])"
+)
 
 
 def _literal(token: str) -> int:
@@ -329,8 +340,9 @@ def _literal(token: str) -> int:
 
 
 class _TokenParser:
-    """Cursor over a token list of (token, position) pairs, shared by the
-    recursive-descent parsers."""
+    """Cursor over a token list of (token, position) pairs: the sigma-term
+    parser reads with it, and the pseudonumber parser's error messages name
+    the token it stops at."""
 
     def __init__(self, text: str, tokens):
         self.text = text
@@ -359,63 +371,99 @@ class _TokenParser:
         return result
 
 
-class _Parser(_TokenParser):
-    def __init__(self, text: str, pi: Supernatural | None):
-        super().__init__(text, _tokenize(text))
-        self.pi = pi
+def _cursor_at(text: str, index: int) -> _TokenParser:
+    """A cursor on the index-th token, a whole bracket counting as its '['."""
+    cursor = _TokenParser(
+        text, [(m[1][0] if m[2] else m[1], m.start(1)) for m in _TOKEN.finditer(text)]
+    )
+    cursor.pos = index
+    return cursor
 
-    def parse(self) -> Pseudonumber:
-        value = self.product(self.sign())
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            value = value + self.product(1 if op == "+" else -1)
-        return self.finish(value)
 
-    def sign(self) -> int:
-        if self.peek() in ("+", "-"):
-            return 1 if self.take() == "+" else -1
-        return 1
+def _broken_bracket(cursor: _TokenParser):
+    """Raise the error for a '[' at the cursor that opens no whole bracket."""
+    cursor.take("[")
+    tok = cursor.take()
+    if not tok.isdigit():
+        raise InputError(f"expected a base inside [...] in {cursor.text!r}")
+    _literal(tok)
+    for expected in "^(w-":
+        cursor.take(expected)
+    tok = cursor.take()
+    if not tok.isdigit():
+        raise InputError(f"expected an offset after w- in {cursor.text!r}")
+    _literal(tok)
+    cursor.take(")")
+    cursor.take("]")
+    raise AssertionError(f"a whole bracket in {cursor.text!r} was not read as one token")
 
-    def product(self, sign: int) -> Pseudonumber:
-        value = from_integer(sign) * self.atom()
-        while self.peek() == "*":
-            self.take()
-            value = value * self.atom()
-        return value
 
-    def atom(self) -> Pseudonumber:
-        tok = self.peek()
-        if tok == "[":
-            return self.bracket()
-        if tok is not None and tok.isdigit():
-            return from_integer(_literal(self.take()))
-        raise InputError(
-            f"expected an integer or [base^(w-k)] in {self.text!r}, got {tok!r}"
-        )
-
-    def bracket(self) -> Pseudonumber:
-        self.take("[")
-        tok = self.take()
-        if not tok.isdigit():
-            raise InputError(f"expected a base inside [...] in {self.text!r}")
-        base = _literal(tok)
-        self.take("^")
-        self.take("(")
-        self.take("w")
-        self.take("-")
-        tok = self.take()
-        if not tok.isdigit():
-            raise InputError(f"expected an offset after w- in {self.text!r}")
-        offset = _literal(tok)
-        self.take(")")
-        self.take("]")
-        if self.pi is None:
-            raise InputError("a supernatural number is required to parse terms")
-        return omega_power(self.pi, base, offset)
+def _bracket(base: str, offset: str, pi: Supernatural | None):
+    """The normal (base, offset) of ``[base^(w-offset)]``, or None when it is
+    the integer 1; checked as :func:`omega_power` checks it."""
+    base, offset = _literal(base), _literal(offset)
+    if pi is None:
+        raise InputError("a supernatural number is required to parse terms")
+    _check_exponents(base, offset)
+    if base == 1:
+        return None
+    root, power = perfect_root(base)
+    _check_signature(root, pi)
+    return root, power * offset
 
 
 def parse_pseudonumber(text: str, pi: Supernatural | None = None) -> Pseudonumber:
-    """Parse ``3 + 2*[6^(w-2)] - [5^(w-1)]``; bases are validated against pi."""
+    """Parse ``3 + 2*[6^(w-2)] - [5^(w-1)]``; bases are validated against pi.
+
+    Grammar: ``value := [sign] product {sign product}``, ``product := atom
+    {'*' atom}``, ``atom := integer | [base^(w-offset)]``; whitespace may
+    stand between any two tokens and around the text.
+    """
     if not isinstance(text, str):
         raise InputError(f"a pseudonumber must be given as text, got {type(text).__name__}")
-    return _Parser(text, pi).parse()
+    bad = _BAD_CHARACTER.search(text)
+    if bad is not None:
+        where = len(text[: bad.start()].rstrip())
+        raise InputError(f"bad character at position {where} in {text!r}")
+    tokens = _TOKEN.findall(text)
+    count, i = len(tokens), 0
+    const, triples, sign = 0, [], 1
+    if count and tokens[0][0] in ("+", "-"):
+        sign, i = (1 if tokens[0][0] == "+" else -1), 1
+    while True:
+        coeff, brackets = sign, []
+        while True:
+            tok, base, offset = tokens[i] if i < count else (None, "", "")
+            if base:
+                bracket = _bracket(base, offset, pi)
+                if bracket is not None:
+                    brackets.append(bracket)
+            elif tok is not None and tok.isdigit():
+                coeff *= _literal(tok)
+            elif tok == "[":
+                _broken_bracket(_cursor_at(text, i))
+            else:
+                raise InputError(f"expected an integer or [base^(w-k)] in {text!r}, got {tok!r}")
+            i += 1
+            if i == count or tokens[i][0] != "*":
+                break
+            i += 1
+        if not brackets:
+            const += coeff
+        elif len(brackets) == 1:
+            triples.append((*brackets[0], coeff))
+        elif coeff:
+            # the normal form depends on the order of the ring products, so
+            # multiply as written; scaling by coeff != 0 commutes with them
+            product = Pseudonumber(1)
+            for base, offset in brackets:
+                product = product * omega_power(pi, base, offset)
+            const += coeff * product.const
+            triples.extend((t.base, t.offset, coeff * t.coeff) for t in product.terms)
+        if i == count:
+            return Pseudonumber(const, triples, pi)
+        tok = tokens[i][0]
+        if tok not in ("+", "-"):
+            _cursor_at(text, i).finish(None)
+        sign = 1 if tok == "+" else -1
+        i += 1

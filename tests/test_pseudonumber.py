@@ -186,6 +186,19 @@ def test_str_parse_round_trip():
     assert str(from_integer(0)) == "0"
 
 
+def test_parse_accepts_trailing_whitespace():
+    assert parse_pseudonumber("3 ", PI) == from_integer(3)
+    assert parse_pseudonumber("3\n", PI) == from_integer(3)
+    assert parse_pseudonumber("[2^(w-1)] ", PI) == omega_power(PI, 2, 1)
+
+
+def test_parse_checks_cancelled_brackets():
+    pi = parse_supernatural("3^inf;default=0")
+    for text in ("0*[3^(w-1)]", "[3^(w-1)] - [3^(w-1)]"):
+        with pytest.raises(SignatureError):
+            parse_pseudonumber(text, pi)
+
+
 def test_parse_rejects_garbage():
     for text in ("", "3 +", "[6^(w)]", "[6^(w-0)]", "2 ** 3", "[4^"):
         with pytest.raises(InputError):
