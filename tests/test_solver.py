@@ -1,5 +1,5 @@
 import random
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -475,3 +475,112 @@ def test_small_witness_on_a_sigma_system():
     outcome = solve_system(pi, matrix, rhs)
     assert outcome and verify_solution(pi, matrix, rhs, outcome)
     assert all(str(x) for x in outcome)
+
+
+def test_trivial_rest_returns_the_residues():
+    # every stored prime divides a base, so M is the whole ambient and the
+    # residues mod M are the witness
+    pi = parse_supernatural("2^1,3^1,5^1;default=0")
+    matrix = SigmaMatrix(
+        [
+            [parse_pseudonumber("7 + [2^(w-1)] + [3^(w-1)]", pi), 1],
+            [1, parse_pseudonumber("[5^(w-1)]", pi)],
+        ],
+        pi,
+    )
+    outcome = solve_system(pi, matrix, [1, 2])
+    assert [str(x) for x in outcome] == ["27", "7"]
+    assert verify_solution(pi, matrix, [1, 2], outcome)
+
+
+# -- differential check of the verifier against expanded products -------------
+
+
+def reference_verify(pi, matrix, rhs, solution):
+    """The verifier that multiplies the rows out as pseudonumbers and
+    decides each component with equal_in_ab."""
+    return equal_vectors(pi, matrix.mul_vec(solution), rhs)
+
+
+def ambient_of_kind(rng, kind):
+    if kind == "finite":
+        return random_ambient(rng, 1)
+    table = dict(random_supernatural(rng).table)
+    return Supernatural(table, 0 if kind == "default 0" else INFINITY)
+
+
+def finite_primes(pi):
+    return prod(p for p, e in pi.table if 0 < e != INFINITY)
+
+
+def perturbations(pi):
+    """(name, value) added to one witness component: G^w is 0 on every prime
+    of positive finite exponent and 1 elsewhere, so adding it changes only
+    the rest, and adding 1 - G^w only the finite side."""
+    idempotent = omega_closure(pi, finite_primes(pi))
+    return [
+        ("0", from_integer(0)),
+        ("G^w", idempotent),
+        ("1 - G^w", 1 - idempotent),
+        ("1", from_integer(1)),
+    ]
+
+
+def test_verify_solution_matches_expanded_products():
+    rng = random.Random(49)
+    refuted = {"0": 0, "G^w": 0, "1 - G^w": 0, "1": 0}
+    for round_ in range(180):
+        pi = ambient_of_kind(rng, ("finite", "default 0", "default inf")[round_ % 3])
+        rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+
+        def entry():
+            if round_ % 2:  # sigma entries
+                return random_pseudonumber(rng, pi, max_terms=1, base_limit=14, coeff_limit=9,
+                                           offset_limit=2)
+            return from_integer(rng.randint(-9, 9))
+
+        matrix = SigmaMatrix([[entry() for _ in range(cols)] for _ in range(rows)], pi)
+        rhs = matrix.mul_vec([entry() for _ in range(cols)])
+        outcome = solve_system(pi, matrix, rhs)
+        assert outcome
+        for name, shift in perturbations(pi):
+            solution = list(outcome)
+            j = rng.randrange(cols)
+            solution[j] = solution[j] + shift
+            verdict = verify_solution(pi, matrix, rhs, solution)
+            expected = reference_verify(pi, matrix, rhs, solution)
+            assert bool(verdict) == bool(expected), (pi, matrix.entries, rhs, solution)
+            assert verdict.component == expected.component
+            if verdict:
+                continue
+            refuted[name] += 1
+            n, i = verdict.witness_modulus, verdict.component
+            assert pi.divisible_by(n)
+            lhs = matrix.mul_vec(solution)[i]
+            assert verdict.residue_u == eval_mod(lhs, n, pi)
+            assert verdict.residue_v == eval_mod(rhs[i], n, pi)
+            assert verdict.residue_u != verdict.residue_v
+            g = finite_primes(pi)
+            if name == "G^w":
+                assert gcd(n, g) == 1
+            elif name == "1 - G^w":
+                assert gcd(n, g**n.bit_length()) == n  # n divides a power of g
+    assert refuted.pop("0") == 0  # the solver's witness itself verifies
+    assert min(refuted.values()) > 10, refuted
+
+
+def test_verify_solution_input_contract():
+    matrix = SigmaMatrix([[1, 2], [0, 1]], PI)
+    with pytest.raises(InputError, match=r"vector length 1 does not match \(2, 2\)"):
+        verify_solution(PI, matrix, [5, 2], [1])
+    with pytest.raises(InputError, match="vector lengths differ: 2 vs 1"):
+        verify_solution(PI, matrix, [5], [1, 2])
+    other = parse_supernatural("2^1;default=0")
+    with pytest.raises(InputError):
+        verify_solution(PI, matrix, [5, 2], [omega_power(other, 2, 1), 2])
+    with pytest.raises(InputError):
+        verify_solution(PI, matrix, [omega_power(other, 2, 1), 2], [1, 2])
+    # plain integers and a matrix given as nested lists
+    assert verify_solution(PI, [[1, 2], [0, 1]], [5, 2], [1, 2])
+    verdict = verify_solution(PI, [[1, 2], [0, 1]], [5, 2], [1, 3])
+    assert not verdict and verdict.component == 0
