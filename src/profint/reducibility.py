@@ -9,20 +9,25 @@ per (equation, letter) pair, and hands the linear system to the solver.  The
 first solvable combination (lexicographic order) yields the witness; if all
 fail, each contributes one refuting quotient, and their lcm refutes the whole
 system at once.
+
+A witness is a certificate, checked as one: each variable's vector must be
+base + sum_j period_j * y_j of its own branch at its coefficients y_j, and
+every equation must hold letter by letter on the solver's split image.  The
+check multiplies no pseudonumbers out and decides no membership again.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import lcm
 
 from .errors import InputError
 from .pseudonumber import from_integer
-from .semilinear import SemilinearSet, closure, member_of_closure
-from .solver import SigmaMatrix, solve_system
+from .semilinear import SemilinearSet
+from .solver import SigmaMatrix, solve_system, verify_solution
 from .supernatural import Supernatural
 from .terms import SigmaTerm, abelianize, parse_term
-from .word_problem import Verdict, is_zero
+from .word_problem import Verdict, equal_vectors
 
 _KINDS = {str: "text", list: "a list", dict: "an object"}
 
@@ -150,20 +155,14 @@ def decide_and_witness(pi: Supernatural, system: EquationSystem):
     ]
     failures = []
     for combo in itertools.product(*branch_lists):
-        chosen = {
-            x: system.constraints[x].branches[combo[i]]
-            for i, x in enumerate(system.variables)
-        }
+        indices = dict(zip(system.variables, combo))
+        chosen = {x: system.constraints[x].branches[i] for x, i in indices.items()}
         outcome = _try_branches(pi, system, forms, chosen)
         if isinstance(outcome, int):
             failures.append((combo, outcome))
             continue
         coefficients, assignment = outcome
-        witness = Witness(
-            assignment=assignment,
-            branches={x: combo[i] for i, x in enumerate(system.variables)},
-            coefficients=coefficients,
-        )
+        witness = Witness(assignment=assignment, branches=indices, coefficients=coefficients)
         check = verify_witness(pi, system, witness)
         if not check:
             raise AssertionError(
@@ -171,6 +170,17 @@ def decide_and_witness(pi: Supernatural, system: EquationSystem):
             )
         return witness
     return Refutation(tuple(failures))
+
+
+def _point(branch, coefficients):
+    """base + sum_j c_j * period_j of a branch, letter by letter."""
+    return tuple(
+        sum(
+            (c * period[a] for c, period in zip(coefficients, branch.periods)),
+            from_integer(branch.base[a]),
+        )
+        for a in range(branch.width)
+    )
 
 
 def _try_branches(pi, system, forms, chosen):
@@ -181,70 +191,57 @@ def _try_branches(pi, system, forms, chosen):
         for x in system.variables
         for j in range(len(chosen[x].periods))
     ]
-    rows = []
-    rhs = []
-    for form in forms:
-        for a in range(len(system.alphabet)):
-            row = [
-                form[x] * chosen[x].periods[j][a] for (x, j) in unknowns
-            ]
-            total = from_integer(0)
-            for x in system.variables:
-                total = total + form[x] * chosen[x].base[a]
-            rows.append(row)
-            rhs.append(-total)
+    pairs = [(form, a) for form in forms for a in range(len(system.alphabet))]
+    rows = [[form[x] * chosen[x].periods[j][a] for x, j in unknowns] for form, a in pairs]
+    rhs = [
+        -sum((form[x] * chosen[x].base[a] for x in system.variables), from_integer(0))
+        for form, a in pairs
+    ]
     if not unknowns or not rows:
         # nothing to solve: every right side must already vanish
-        solution = []
-        for value in rhs:
-            vanishes = is_zero(pi, value)
-            if not vanishes:
-                return vanishes.witness_modulus
-        if unknowns:
-            solution = [from_integer(0)] * len(unknowns)
+        vanishes = equal_vectors(pi, rhs, [0] * len(rhs))
+        if not vanishes:
+            return vanishes.witness_modulus
+        solution = [from_integer(0)] * len(unknowns)
     else:
         outcome = solve_system(pi, SigmaMatrix(rows, pi), rhs)
         if not outcome:
             return outcome.modulus
         solution = list(outcome)
-    coefficients = {}
-    position = 0
-    for x in system.variables:
-        count = len(chosen[x].periods)
-        coefficients[x] = tuple(solution[position:position + count])
-        position += count
-    assignment = {}
-    for x in system.variables:
-        branch = chosen[x]
-        vec = []
-        for a in range(len(system.alphabet)):
-            component = from_integer(branch.base[a])
-            for j, coeff in enumerate(coefficients[x]):
-                component = component + coeff * branch.periods[j][a]
-            vec.append(component)
-        assignment[x] = tuple(vec)
+    remaining = iter(solution)
+    coefficients = {
+        x: tuple(itertools.islice(remaining, len(chosen[x].periods))) for x in system.variables
+    }
+    assignment = {x: _point(chosen[x], coefficients[x]) for x in system.variables}
     return coefficients, assignment
 
 
 def verify_witness(pi: Supernatural, system: EquationSystem, witness: Witness) -> Verdict:
-    """Equal iff every equation's abelianized difference vanishes under the
-    witness and every assigned vector lies in the closure of its constraint."""
+    """Check the witness as the module docstring describes.  A failure names
+    (variable, letter) or (equation index, letter), or the variable alone
+    when its coefficient count does not match its branch."""
     for x in system.variables:
-        if x not in witness.assignment:
+        if x not in witness.assignment or x not in witness.coefficients:
             raise InputError(f"witness misses variable {x!r}")
         if len(witness.assignment[x]) != len(system.alphabet):
             raise InputError(f"witness vector of {x!r} has the wrong width")
-    for form in _linear_forms(pi, system):
-        for a in range(len(system.alphabet)):
-            total = from_integer(0)
-            for x in system.variables:
-                total = total + form[x] * witness.assignment[x][a]
-            vanishes = is_zero(pi, total)
-            if not vanishes:
-                return vanishes
+        index, branches = witness.branches.get(x), system.constraints[x].branches
+        if not isinstance(index, int) or not 0 <= index < len(branches):
+            raise InputError(f"witness names no branch of the constraint of {x!r}")
     for x in system.variables:
-        if member_of_closure(
-            pi, witness.assignment[x], closure(pi, system.constraints[x])
-        ) is None:
+        branch = system.constraints[x].branches[witness.branches[x]]
+        coefficients = witness.coefficients[x]
+        if len(coefficients) != len(branch.periods):
             return Verdict.no(None, None, None, component=x)
+        verdict = equal_vectors(pi, witness.assignment[x], _point(branch, coefficients))
+        if not verdict:
+            return replace(verdict, component=(x, system.alphabet[verdict.component]))
+    forms = _linear_forms(pi, system)
+    if forms:
+        matrix = SigmaMatrix([[form[x] for x in system.variables] for form in forms], pi)
+        for a, letter in enumerate(system.alphabet):
+            values = [witness.assignment[x][a] for x in system.variables]
+            verdict = verify_solution(pi, matrix, [0] * len(forms), values)
+            if not verdict:
+                return replace(verdict, component=(verdict.component, letter))
     return Verdict.yes()

@@ -64,6 +64,8 @@ class SemilinearSet:
         branches = tuple(self.branches)
         if not alphabet:
             raise InputError("alphabet must be nonempty")
+        if not all(isinstance(letter, str) for letter in alphabet):
+            raise InputError("alphabet letters must be text")
         if len(set(alphabet)) != len(alphabet):
             raise InputError("alphabet letters must be distinct")
         if any(b.width != len(alphabet) for b in branches):

@@ -158,10 +158,7 @@ class _TermParser(_TokenParser):
     def power(self, node: SigmaTerm) -> SigmaTerm:
         tok = self.peek()
         if tok == "w":
-            self.take("w")
-            self.take("-")
-            if self.take() != "1":
-                raise InputError(f"only the power w-1 is allowed in {self.text!r}")
+            self.omega_minus_one()
             return OmegaInv(node)
         if tok is not None and tok.isdigit():
             p = _literal(self.take())
@@ -169,13 +166,16 @@ class _TermParser(_TokenParser):
                 raise InputError(f"{p} is not prime in power of {self.text!r}")
             self.take("^")
             self.take("(")
-            self.take("w")
-            self.take("-")
-            if self.take() != "1":
-                raise InputError(f"only the power w-1 is allowed in {self.text!r}")
+            self.omega_minus_one()
             self.take(")")
             return PrimePower(node, p)
         raise InputError(f"expected w-1 or p^(w-1) in {self.text!r}, got {tok!r}")
+
+    def omega_minus_one(self):
+        self.take("w")
+        self.take("-")
+        if self.take() != "1":
+            raise InputError(f"only the power w-1 is allowed in {self.text!r}")
 
 
 def parse_term(text: str, variables) -> SigmaTerm:

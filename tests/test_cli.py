@@ -202,6 +202,10 @@ MALFORMED_INPUTS = {
         ["member"],
         json.dumps({"pi": PI3, "constraint": 3, "vector": ["1"]}),
     ),
+    "member-alphabet-number": (
+        ["member"],
+        json.dumps({"pi": PI3, "constraint": "(1)+(2)N", "vector": ["1"], "alphabet": [1]}),
+    ),
     "solve-matrix-text": (["solve"], json.dumps({"pi": PI3, "matrix": "12", "rhs": ["1", "2"]})),
     "solve-rhs-text": (["solve"], json.dumps({"pi": PI3, "matrix": [["1"]], "rhs": "1"})),
     "solve-overlong-integer": (

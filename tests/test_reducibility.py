@@ -1,23 +1,34 @@
 import random
+from dataclasses import replace
 from math import lcm
 
 import pytest
 
+import profint.reducibility
+import profint.semilinear
 from profint import (
+    INFINITY,
     EquationSystem,
     InputError,
     Refutation,
+    Supernatural,
+    Verdict,
     Witness,
+    closure,
     decide_and_witness,
     equal_in_ab,
     from_integer,
+    is_zero,
+    member_of_closure,
+    omega_closure,
     parse_semilinear,
     parse_supernatural,
     parse_term,
     verify_witness,
 )
 from profint.oracle import MAX_MODULUS, search_quotient
-from conftest import random_supernatural
+from profint.reducibility import _linear_forms, _point
+from conftest import finite_base_pool, random_supernatural
 
 XY = ("x", "y")
 
@@ -200,3 +211,179 @@ def test_randomized_agreement_with_quotient_search():
             if n <= MAX_MODULUS:
                 assert search_quotient(system, n, pi) is None
     assert solvable >= 5 and refuted >= 5
+
+
+def reference_verify_witness(pi, system, witness):
+    """The verifier before witnesses were checked as certificates: multiply
+    each equation out under the witness and decide every vector's membership
+    in the closure of its constraint by solving for coefficients."""
+    for x in system.variables:
+        if x not in witness.assignment:
+            raise InputError(f"witness misses variable {x!r}")
+        if len(witness.assignment[x]) != len(system.alphabet):
+            raise InputError(f"witness vector of {x!r} has the wrong width")
+    for form in _linear_forms(pi, system):
+        for a in range(len(system.alphabet)):
+            total = from_integer(0)
+            for x in system.variables:
+                total = total + form[x] * witness.assignment[x][a]
+            vanishes = is_zero(pi, total)
+            if not vanishes:
+                return vanishes
+    for x in system.variables:
+        if member_of_closure(
+            pi, witness.assignment[x], closure(pi, system.constraints[x])
+        ) is None:
+            return Verdict.no(None, None, None, component=x)
+    return Verdict.yes()
+
+
+AMBIENT_KINDS = ("default-0", "default-inf", "finite")
+
+
+def random_ambient(rng, kind):
+    primes = rng.sample((2, 3, 5, 7), rng.randint(1, 3))
+    if kind == "finite":
+        return Supernatural({p: rng.randint(1, 3) for p in primes}, 0)
+    table = {p: rng.choice((0, 1, 2, 3, INFINITY)) for p in primes}
+    if kind == "default-0":
+        table[primes[0]] = rng.choice((1, 2, INFINITY))  # never the trivial ring
+        return Supernatural(table, 0)
+    return Supernatural(table, INFINITY)
+
+
+def random_term(rng, pi, variables):
+    finite = [p for p in (2, 3, 5, 7) if pi.is_finite_at(p)]
+    factors = []
+    for _ in range(rng.randint(1, 3)):
+        factor = rng.choice(variables)
+        roll = rng.random()
+        if roll < 0.25:
+            factor = f"{factor}^(w-1)"
+        elif roll < 0.5 and finite:
+            factor = f"{factor}^({rng.choice(finite)}^(w-1))"
+        factors.append(factor)
+    return parse_term("*".join(factors), variables)
+
+
+def random_branch_text(rng, width):
+    def vector(low):
+        while True:
+            v = [rng.randint(low, 3) for _ in range(width)]
+            if any(v):
+                return "(" + ",".join(map(str, v)) + ")"
+
+    base = "(" + ",".join(str(rng.randint(0, 3)) for _ in range(width)) + ")"
+    return "+".join([base] + [vector(0) + "N" for _ in range(rng.randint(0, 2))])
+
+
+def random_system(rng, pi):
+    alphabet = ("a", "b")[: rng.randint(1, 2)]
+    variables = ("x", "y", "z")[: rng.randint(2, 3)]
+    equations = tuple(
+        (random_term(rng, pi, variables), random_term(rng, pi, variables))
+        for _ in range(rng.randint(1, 2))
+    )
+    constraints = {
+        x: parse_semilinear(
+            " | ".join(random_branch_text(rng, len(alphabet)) for _ in range(rng.randint(1, 2))),
+            alphabet,
+        )
+        for x in variables
+    }
+    return EquationSystem(alphabet, variables, equations, constraints)
+
+
+def shifts(rng, pi):
+    """1, G^w and 1 - G^w for an admissible base G."""
+    g = rng.choice(finite_base_pool(pi, 12) or [1])
+    return {"one": from_integer(1), "idempotent": omega_closure(pi, g),
+            "complement": 1 - omega_closure(pi, g)}
+
+
+def assert_refutes(pi, verdict):
+    assert pi.divisible_by(verdict.witness_modulus)
+    assert verdict.residue_u != verdict.residue_v
+
+
+def test_certificate_check_agrees_with_reference_verifier():
+    rng = random.Random(909)
+    hits = {}
+    witnesses = 0
+    for trial in range(240):
+        pi = random_ambient(rng, AMBIENT_KINDS[trial % 3])
+        system = random_system(rng, pi)
+        witness = decide_and_witness(pi, system)
+        if not witness:
+            continue
+        witnesses += 1
+        assert verify_witness(pi, system, witness)
+        assert reference_verify_witness(pi, system, witness)
+        for name, shift in shifts(rng, pi).items():
+            x = rng.choice(system.variables)
+            letter = rng.randrange(len(system.alphabet))
+            # assignment only: the vector leaves the point its coefficients name
+            if not is_zero(pi, shift):
+                vector = list(witness.assignment[x])
+                vector[letter] = vector[letter] + shift
+                moved = replace(witness, assignment={**witness.assignment, x: tuple(vector)})
+                verdict = verify_witness(pi, system, moved)
+                assert not verdict and verdict.component == (x, system.alphabet[letter])
+                assert_refutes(pi, verdict)
+                hits["assignment", name] = hits.get(("assignment", name), 0) + 1
+            # consistent: shift one coefficient and rebuild the vector from it
+            if not witness.coefficients[x]:
+                continue
+            branch = system.constraints[x].branches[witness.branches[x]]
+            coefficients = list(witness.coefficients[x])
+            j = rng.randrange(len(coefficients))
+            coefficients[j] = coefficients[j] + shift
+            moved = replace(
+                witness,
+                assignment={**witness.assignment, x: _point(branch, coefficients)},
+                coefficients={**witness.coefficients, x: tuple(coefficients)},
+            )
+            verdict = verify_witness(pi, system, moved)
+            assert bool(verdict) == bool(reference_verify_witness(pi, system, moved))
+            if not verdict:
+                equation, failed_letter = verdict.component
+                assert 0 <= equation < len(system.equations)
+                assert failed_letter in system.alphabet
+                assert_refutes(pi, verdict)
+            hits["consistent", name, bool(verdict)] = (
+                hits.get(("consistent", name, bool(verdict)), 0) + 1
+            )
+    assert witnesses > 50
+    for mode in ("assignment", "consistent"):
+        for name in ("one", "idempotent", "complement"):
+            total = sum(n for key, n in hits.items() if key[:2] == (mode, name))
+            assert total > 10, (mode, name, hits)
+    assert sum(n for key, n in hits.items() if key[0] == "consistent" and key[2]) > 0, hits
+    assert sum(n for key, n in hits.items() if key[0] == "consistent" and not key[2]) > 0, hits
+
+
+def test_verify_witness_input_contract():
+    pi = parse_supernatural("3^inf;default=0")
+    system = square_system()
+    witness = decide_and_witness(pi, system)
+    for branches in ({"x": 0}, {"x": 0, "y": 1}, {"x": -1, "y": 0}, {"x": "0", "y": 0}):
+        with pytest.raises(InputError):
+            verify_witness(pi, system, replace(witness, branches=branches))
+    with pytest.raises(InputError):
+        verify_witness(pi, system, replace(witness, coefficients={"x": witness.coefficients["x"]}))
+    short = replace(witness, coefficients={**witness.coefficients, "y": ()})
+    verdict = verify_witness(pi, system, short)
+    assert not verdict and verdict.component == "y"
+
+
+def test_verify_witness_solves_nothing(monkeypatch):
+    pi = parse_supernatural("3^inf,5^2;default=0")
+    system = square_system()
+    witness = decide_and_witness(pi, system)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the verifier must not solve")
+
+    monkeypatch.setattr(profint.reducibility, "solve_system", refuse)
+    monkeypatch.setattr(profint.semilinear, "solve_system", refuse)
+    assert verify_witness(pi, system, witness)
