@@ -1,11 +1,18 @@
-"""Exact integer linear algebra: extended gcd, Smith normal form with
-unimodular witnesses, modular congruence systems, and the solvability test
-for a single integer-coefficient equation over the restricted completion.
+"""Exact integer linear algebra: extended gcd, fraction-free (Bareiss)
+elimination for determinants and nonsingular square systems, Smith normal
+form with unimodular witnesses, modular congruence systems, and the
+solvability test for a single integer-coefficient equation over the
+restricted completion.
 
 Matrices hold arbitrary-precision integers and are immutable after
-construction.  The Smith reduction pivots on the smallest nonzero absolute
-value (ties broken lexicographically), so the witnesses L and R are
-reproducible across runs.
+construction.  Bareiss elimination keeps every intermediate entry a minor of
+the input, so the integers of a nonsingular system A*x = c stay the size of
+the minors of [A | c]; its solution comes back as integers n with
+x = n / det(A).
+The Smith reduction pivots on the smallest nonzero absolute value (ties
+broken lexicographically), so the witnesses L and R are reproducible across
+runs.  Over Z they can grow far past the input; taken mod M, as the
+congruence solver takes it, every entry stays below M.
 """
 from __future__ import annotations
 
@@ -85,29 +92,68 @@ class IntMatrix:
         """Exact determinant by fraction-free (Bareiss) elimination."""
         if self.rows != self.cols:
             raise InputError("determinant needs a square matrix")
-        n = self.rows
-        m = [list(row) for row in self.entries]
-        sign, prev = 1, 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k]:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        return _bareiss([list(row) for row in self.entries], self.rows)
 
     def __str__(self):
         return ";".join(",".join(str(x) for x in row) for row in self.entries)
 
     def __repr__(self):
         return f"IntMatrix({str(self)!r})"
+
+
+def _bareiss(m: list[list[int]], n: int) -> int:
+    """Fraction-free (Bareiss) elimination of the first n columns of the n
+    rows m, in place; the rows may be longer, as an augmented matrix is.
+
+    Returns the determinant of the leading n x n block, 0 when it is singular
+    (the elimination then stops).  Otherwise m is left upper triangular on
+    that block, with the same solutions as the input, and every entry a minor
+    of the row-permuted input: the exact division by the previous pivot keeps
+    them there, so no entry grows past a minor.
+    """
+    sign, prev = 1, 1
+    for k in range(n):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot_row = m[k]
+        p, tail = pivot_row[k], pivot_row[k + 1:]
+        for row in m[k + 1:n]:
+            f = row[k]
+            row[k + 1:] = [(x * p - f * y) // prev for x, y in zip(row[k + 1:], tail)]
+        prev = p
+    return sign * prev
+
+
+def solve_nonsingular(matrix: IntMatrix, rhs) -> tuple[int, list[int]] | None:
+    """(D, n) with D = det(matrix) and matrix @ (n / D) = rhs over the
+    rationals, or None when the square matrix is singular.
+
+    One Bareiss pass over [matrix | rhs] and a back substitution; n_i is the
+    Cramer numerator det(matrix with column i replaced by rhs), so every
+    division in the back substitution is exact.
+    """
+    n = matrix.rows
+    if matrix.cols != n:
+        raise InputError(f"a nonsingular solve needs a square matrix, got {matrix.shape}")
+    rhs = [int(x) for x in rhs]
+    if len(rhs) != n:
+        raise InputError(f"right side length {len(rhs)} does not match {matrix.shape}")
+    m = [list(row) + [c] for row, c in zip(matrix.entries, rhs)]
+    det = _bareiss(m, n)
+    if det == 0:
+        return None
+    numerators = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = m[i]
+        known = sum(a * x for a, x in zip(row[i + 1:n], numerators[i + 1:]))
+        numerators[i] = (det * row[n] - known) // row[i]
+    return det, numerators
 
 
 def parse_int_matrix(text: str) -> IntMatrix:
@@ -155,9 +201,19 @@ class SnfResult:
         ]
 
 
-def smith_normal_form(matrix: IntMatrix) -> SnfResult:
+def smith_normal_form(matrix: IntMatrix, modulus: int | None = None) -> SnfResult:
+    """Smith form left @ matrix @ right = diag over Z, or mod `modulus`.
+
+    Mod M every operation is followed by reduction mod M, so no entry of the
+    matrix or of the witnesses leaves [0, M): then the equation holds mod M,
+    left and right are invertible mod M, and gcd(d_i, M) divides d_{i+1}.
+    The same pivots and operations run either way.
+    """
     s, t = matrix.rows, matrix.cols
-    a = [list(row) for row in matrix.entries]
+    a = [
+        [x % modulus for x in row] if modulus else list(row)
+        for row in matrix.entries
+    ]
     left = [[int(i == j) for j in range(s)] for i in range(s)]
     right = [[int(i == j) for j in range(t)] for i in range(t)]
 
@@ -175,27 +231,26 @@ def smith_normal_form(matrix: IntMatrix) -> SnfResult:
 
     def add_row(dst, src, q):
         if q:
-            for x in range(t):
-                a[dst][x] += q * a[src][x]
-            for x in range(s):
-                left[dst][x] += q * left[src][x]
+            for m in (a, left):
+                if modulus:
+                    m[dst] = [(x + q * y) % modulus for x, y in zip(m[dst], m[src])]
+                else:
+                    m[dst] = [x + q * y for x, y in zip(m[dst], m[src])]
 
     def add_col(dst, src, q):
         if q:
-            for row in a:
-                row[dst] += q * row[src]
-            for row in right:
-                row[dst] += q * row[src]
+            for m in (a, right):
+                for row in m:
+                    x = row[dst] + q * row[src]
+                    row[dst] = x % modulus if modulus else x
 
     for k in range(min(s, t)):
         while True:
-            pivot = None
+            pivot, least = None, 0
             for i in range(k, s):
-                for j in range(k, t):
-                    if a[i][j] and (
-                        pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])
-                    ):
-                        pivot = (i, j)
+                for j, x in enumerate(a[i][k:], k):
+                    if x and (not least or abs(x) < least):
+                        pivot, least = (i, j), abs(x)
             if pivot is None:
                 break
             swap_rows(k, pivot[0])
@@ -242,8 +297,8 @@ def solve_congruences(matrix: IntMatrix, rhs, modulus: int):
     """A vector X with matrix @ X = rhs (mod modulus), components in
     [0, modulus), or None when the system has no solution.
 
-    Diagonalizes the matrix, solves each scalar congruence by the gcd test,
-    and maps the result back through the right witness.
+    Diagonalizes the matrix mod `modulus`, solves each scalar congruence by
+    the gcd test, and maps the result back through the right witness.
     """
     rhs = [int(x) for x in rhs]
     if len(rhs) != matrix.rows:
@@ -252,7 +307,7 @@ def solve_congruences(matrix: IntMatrix, rhs, modulus: int):
         raise InputError(f"modulus must be positive, got {modulus}")
     if modulus == 1:
         return [0] * matrix.cols
-    snf = smith_normal_form(matrix)
+    snf = smith_normal_form(matrix, modulus)
     transformed = snf.left.mul_vec(rhs)
     rank_bound = min(matrix.rows, matrix.cols)
     y = [0] * matrix.cols

@@ -22,10 +22,11 @@ one token, and each summand ``c1*c2*...*[b^(w-k)]`` goes straight into the
 constant or into one (base, offset, coeff) triple, so a value is constructed
 once; only a summand with two or more brackets is multiplied out in the
 ring.  Every bracket is checked against the ambient as it is read, even when
-its coefficient is zero or cancels later.  Token positions are worked out
-only for an error message, which names the first token a left-to-right
-reading cannot take.  :class:`_TokenParser` is the token cursor that those
-messages and the sigma-term parser of :mod:`profint.terms` share.
+its coefficient is zero or cancels later, and only then.  Token positions
+are worked out only for an error message, which names the first token a
+left-to-right reading cannot take.  :class:`_TokenParser` is the token
+cursor that those messages and the sigma-term parser of :mod:`profint.terms`
+share.
 """
 from __future__ import annotations
 
@@ -80,12 +81,13 @@ class Pseudonumber:
 
     `pi` is the ambient supernatural number; it is None exactly when the
     value is a plain integer (no terms), which is compatible with any
-    ambient.
+    ambient.  `_checked` is for the parser, which has checked every base
+    against pi already, in token order.
     """
 
     __slots__ = ("const", "terms", "pi")
 
-    def __init__(self, const=0, terms=(), pi: Supernatural | None = None):
+    def __init__(self, const=0, terms=(), pi: Supernatural | None = None, *, _checked=False):
         if not isinstance(const, int):
             raise InputError(f"constant must be an integer, got {const!r}")
         merged: dict[tuple[int, int], int] = {}
@@ -112,8 +114,9 @@ class Pseudonumber:
         if cleaned:
             if pi is None:
                 raise InputError("terms require an ambient supernatural number")
-            for t in cleaned:
-                _check_signature(t.base, pi)
+            if not _checked:
+                for t in cleaned:
+                    _check_signature(t.base, pi)
         object.__setattr__(self, "const", const)
         object.__setattr__(self, "terms", cleaned)
         object.__setattr__(self, "pi", pi if cleaned else None)
@@ -285,6 +288,12 @@ def eval_mod(u: Pseudonumber, n: int, pi: Supernatural | None = None) -> int:
         check_modulus(n, pi)
     elif n < 1:
         raise InputError(f"modulus must be positive, got {n}")
+    return _residue(u, n)
+
+
+def _residue(u: Pseudonumber, n: int) -> int:
+    """eval_mod without its checks, for a caller that has checked n against
+    the ambient once for many values."""
     total = u.const % n
     for t in u.terms:
         total = (total + t.coeff * _term_residue(t.base, t.offset, n)) % n
@@ -461,7 +470,9 @@ def parse_pseudonumber(text: str, pi: Supernatural | None = None) -> Pseudonumbe
             const += coeff * product.const
             triples.extend((t.base, t.offset, coeff * t.coeff) for t in product.terms)
         if i == count:
-            return Pseudonumber(const, triples, pi)
+            # each bracket was checked as it was read, and a merged base has
+            # the primes of checked ones (a perfect root, a product of bases)
+            return Pseudonumber(const, triples, pi, _checked=True)
         tok = tokens[i][0]
         if tok not in ("+", "-"):
             _cursor_at(text, i).finish(None)

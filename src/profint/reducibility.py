@@ -163,7 +163,7 @@ def decide_and_witness(pi: Supernatural, system: EquationSystem):
             continue
         coefficients, assignment = outcome
         witness = Witness(assignment=assignment, branches=indices, coefficients=coefficients)
-        check = verify_witness(pi, system, witness)
+        check = _verify_witness(pi, system, witness, forms)
         if not check:
             raise AssertionError(
                 f"internal error: produced witness fails at modulus {check.witness_modulus}"
@@ -220,6 +220,12 @@ def verify_witness(pi: Supernatural, system: EquationSystem, witness: Witness) -
     """Check the witness as the module docstring describes.  A failure names
     (variable, letter) or (equation index, letter), or the variable alone
     when its coefficient count does not match its branch."""
+    return _verify_witness(pi, system, witness, None)
+
+
+def _verify_witness(pi, system, witness, forms):
+    """verify_witness, reusing the system's linear forms when the caller has
+    built them already (None: build them here)."""
     for x in system.variables:
         if x not in witness.assignment or x not in witness.coefficients:
             raise InputError(f"witness misses variable {x!r}")
@@ -236,7 +242,8 @@ def verify_witness(pi: Supernatural, system: EquationSystem, witness: Witness) -
         verdict = equal_vectors(pi, witness.assignment[x], _point(branch, coefficients))
         if not verdict:
             return replace(verdict, component=(x, system.alphabet[verdict.component]))
-    forms = _linear_forms(pi, system)
+    if forms is None:
+        forms = _linear_forms(pi, system)
     if forms:
         matrix = SigmaMatrix([[form[x] for x in system.variables] for form in forms], pi)
         for a, letter in enumerate(system.alphabet):

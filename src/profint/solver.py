@@ -1,25 +1,34 @@
 """Constructive solving of u*x = v and B*X = C over the sigma-expressible
 profinite integers, with a solvability decision.
 
-One split, the one :mod:`profint.word_problem` decides equality with.  The
-ambient splits at its stored primes of positive finite exponent that divide a
-base of some entry of B or C into a finite modulus M and a remainder `rest`
-on which every base is a unit.
-
-Finite side.  The residues of B and C mod M form a congruence system; when it
-has no solution, M refutes the system.
-
-Rest side.  There ``[b^(w-k)]`` is the rational ``b^(-k)``, so row i times
+One split, the one :mod:`profint.word_problem` decides equality with.  There
+``[b^(w-k)]`` is the rational ``b^(-k)`` wherever b is a unit, so row i times
 d_i = lcm(b^k) over its entries and its right side is an integer row A_i with
-integer right side c_i, and d_i is a unit.  With the Smith form L*A*R = D and
-t = L*c, each diagonal equation D_ii * y_i = t_i is decided by the gcd test:
-a zero D_ii needs t_i = 0 on the rest, and otherwise g = gcd(D_ii, rest) must
-divide t_i, giving ``y_i = (t_i/g) * [(D_ii/g)^(w-1)]``.  A failing equation
-names a finite divisor of the rest where the system already fails.
+integer right side c_i.  When A is square and nonsingular, one Bareiss pass
+over [A | c] gives D = det(A) and the integers n = D*x of its rational
+solution x.  The ambient splits at its stored primes of positive finite
+exponent that divide a base of some entry of B or C, or D, into a finite
+modulus M and a remainder `rest`; there every base and every d_i is a unit,
+and every prime of D has infinite exponent.
+
+Finite side.  The residues of B and C mod M form a congruence system, solved
+by a Smith form taken mod M; when it has no solution, M refutes the system.
+
+Rest side, nonsingular square A.  The diagonal equations D * x_i = n_i hold
+on the rest exactly when g = gcd(|D|, rest) divides every n_i; then
+n_i / D = a_i / h_i with h_i a unit there, giving ``y_i = a_i * [h_i^(w-1)]``.
+Otherwise g refutes, since adj(A)*A = det(A)*I makes n = adj(A)*c vanish
+mod g for any solution.
+
+Rest side, any other A.  With the Smith form L*A*R = D over Z and t = L*c,
+each diagonal equation D_ii * z_i = t_i is decided by the gcd test: a zero
+D_ii needs t_i = 0 on the rest, and otherwise g = gcd(D_ii, rest) must divide
+t_i, giving ``z_i = (t_i/g) * [(D_ii/g)^(w-1)]`` and y = R*z.  A failing
+equation names a finite divisor of the rest where the system already fails.
 
 Glue.  With x1 the congruence solution and G the product of the split primes,
 the idempotent G^w is 0 on M and 1 on the rest, so the witness is
-``x1 + G^w * (R*y - x1)``; when the rest is trivial, x1 alone is.  A single
+``x1 + G^w * (y - x1)``; when the rest is trivial, x1 alone is.  A single
 equation u*x = v is the 1x1 system.
 
 Verify.  A witness x is checked on the same split, row by row, without
@@ -27,18 +36,20 @@ multiplying pseudonumbers out.  Row i splits at the primes of its bases and of
 x's; mod M its two sides are compared as residues, and on the rest, with
 e = lcm(b^k) over x, the integer ``sum_j A_ij*(e*x_j) - c_i*e`` is d_i*e times
 the row's discrepancy, so it must vanish there.  The first failing row is the
-refutation's component.
+refutation's component.  Each modulus is checked against the ambient once,
+not once per residue.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from .errors import InputError
-from .intlinalg import IntMatrix, smith_normal_form, solve_congruences
+from .intlinalg import IntMatrix, smith_normal_form, solve_congruences, solve_nonsingular
 from .pseudonumber import (
     Pseudonumber,
-    eval_mod,
+    _residue,
+    check_modulus,
     from_integer,
     omega_closure,
     omega_power,
@@ -147,18 +158,31 @@ def solve_system(pi: Supernatural, matrix: SigmaMatrix, rhs):
         if x.pi is not None and x.pi != pi:
             raise InputError("right side ambient differs from the matrix ambient")
 
-    # primes of the bases of exponent 0 change neither side of the split
+    # the rest side's integer system A*x = c: row i times d_i = lcm(b^k)
     scales = [_scale(row + (c,)) for row, c in zip(matrix.entries, rhs)]
-    split_primes = pi.positive_finite_primes_of(lcm(*scales))
+    integer_matrix = IntMatrix([
+        [_scaled_sum(entry, d) for entry in row]
+        for row, d in zip(matrix.entries, scales)
+    ])
+    targets = [_scaled_sum(c, d) for c, d in zip(rhs, scales)]
+    rational = (
+        solve_nonsingular(integer_matrix, targets)
+        if matrix.rows == matrix.cols else None
+    )
+    # primes of the bases of exponent 0 change neither side of the split; the
+    # primes of det A are split off too, so those left on the rest are infinite
+    det = rational[0] if rational else 1
+    split_primes = pi.positive_finite_primes_of(lcm(*scales) * det)
     finite_modulus, rest = pi.split(split_primes)
 
     # finite side: congruence system for the original entries
+    check_modulus(finite_modulus, pi)
     x1 = solve_congruences(
         IntMatrix([
-            [eval_mod(entry, finite_modulus, pi) for entry in row]
+            [_residue(entry, finite_modulus) for entry in row]
             for row in matrix.entries
         ]),
-        [eval_mod(x, finite_modulus, pi) for x in rhs],
+        [_residue(x, finite_modulus) for x in rhs],
         finite_modulus,
     )
     if x1 is None:
@@ -166,15 +190,47 @@ def solve_system(pi: Supernatural, matrix: SigmaMatrix, rhs):
     if rest.is_finite() and rest.as_integer() == 1:
         return [from_integer(a) for a in x1]  # M is the whole ambient
 
-    # rest side: one integer system, diagonalized once
-    snf = smith_normal_form(IntMatrix([
-        [_scaled_sum(entry, d) for entry in row]
-        for row, d in zip(matrix.entries, scales)
-    ]))
-    targets = snf.left.mul_vec([_scaled_sum(c, d) for c, d in zip(rhs, scales)])
+    if rational:
+        y = _rest_rational(pi, rest, *rational)
+    else:
+        y = _rest_smith(pi, rest, integer_matrix, targets)
+    if isinstance(y, SystemRefutation):
+        return y
+    glue = omega_closure(pi, prod(split_primes))
+    return [from_integer(a) + glue * (b - from_integer(a)) for a, b in zip(x1, y)]
+
+
+def _rest_rational(pi, rest, det, numerators):
+    """The rest side of a nonsingular square system: its diagonal equations
+    D * x_i = n_i, where x = n / D is the rational solution.
+
+    Every prime of D on the rest has infinite exponent, so with g the part of
+    |D| there, all of them are solvable exactly when g divides every n_i;
+    then n_i / D = a_i / h_i with h_i a unit on the rest, and
+    ``[h_i^(w-1)]`` is its inverse.  Otherwise g refutes: adj(A)*A = det(A)*I
+    makes n = adj(A)*c vanish mod g for any solution of A*x = c.
+    """
+    g = rest.gcd(abs(det))
+    if any(n % g for n in numerators):
+        return SystemRefutation(g, "diagonal equation unsolvable")
+    y = []
+    for n in numerators:
+        f = gcd(n, det)
+        a, h = n // f, det // f
+        if h < 0:
+            a, h = -a, -h
+        y.append(from_integer(a) if h == 1 else a * omega_power(pi, h, 1))
+    return y
+
+
+def _rest_smith(pi, rest, integer_matrix, targets):
+    """The rest side of a singular or non-square system: with L*A*R = D and
+    t = L*c, each diagonal equation D_ii * z_i = t_i is decided by the gcd
+    test, and y = R*z."""
+    snf = smith_normal_form(integer_matrix)
     diagonal = snf.diagonal()
-    y = [from_integer(0)] * matrix.cols
-    for i, t in enumerate(targets):
+    z = [from_integer(0)] * integer_matrix.cols
+    for i, t in enumerate(snf.left.mul_vec(targets)):
         d = diagonal[i] if i < len(diagonal) else 0
         if d == 0:
             if not rest.congruent(t, 0):
@@ -185,19 +241,21 @@ def solve_system(pi: Supernatural, matrix: SigmaMatrix, rhs):
         g = rest.gcd(d)
         if t % g:
             return SystemRefutation(g, "diagonal equation unsolvable")
-        y[i] = (t // g) * omega_power(pi, d // g, 1)
-
-    glue = omega_closure(pi, prod(split_primes))
-    return [
-        from_integer(a) + glue * (b - from_integer(a))
-        for a, b in zip(x1, snf.right.mul_vec(y))
-    ]
+        z[i] = (t // g) * omega_power(pi, d // g, 1)
+    return snf.right.mul_vec(z)
 
 
-def _row_residues(pi, row, c, n, solution_mod):
-    """Both sides of row . x = c in Z/nZ, from the residues of x mod n."""
-    lhs = sum(eval_mod(a, n, pi) * x for a, x in zip(row, solution_mod))
-    return lhs % n, eval_mod(c, n, pi)
+def _residues(pi, values, n):
+    """The eval_mod images of values over pi in Z/nZ, with n checked once."""
+    check_modulus(n, pi)
+    return [_residue(x, n) for x in values]
+
+
+def _row_residues(row, c, n, solution_mod):
+    """Both sides of row . x = c in Z/nZ, from the residues of x mod n, for
+    an n already checked against the ambient."""
+    lhs = sum(_residue(a, n) * x for a, x in zip(row, solution_mod))
+    return lhs % n, _residue(c, n)
 
 
 def verify_solution(pi: Supernatural, matrix: SigmaMatrix, rhs, solution) -> Verdict:
@@ -205,25 +263,29 @@ def verify_solution(pi: Supernatural, matrix: SigmaMatrix, rhs, solution) -> Ver
     row is the verdict's component."""
     if not isinstance(matrix, SigmaMatrix):
         matrix = SigmaMatrix(matrix, pi)
+    elif matrix.pi != pi:
+        matrix = SigmaMatrix(matrix.entries, pi)  # rejects an entry over another ambient
     solution = [_coerce(x) for x in solution]
     if len(solution) != matrix.cols:
         raise InputError(f"vector length {len(solution)} does not match {matrix.shape}")
-    rhs = list(rhs)
+    rhs = [_coerce(c) for c in rhs]
     if len(rhs) != matrix.rows:
         raise InputError(f"vector lengths differ: {matrix.rows} vs {len(rhs)}")
+    for x in solution + rhs:
+        if x.pi is not None and x.pi != pi:
+            raise InputError("witness or right side ambient differs from the requested ambient")
 
     e = _scale(solution)
     scaled_solution = [_scaled_sum(x, e) for x in solution]
     sides = {}  # split primes -> (M, rest, solution residues mod M)
     for i, (row, c) in enumerate(zip(matrix.entries, rhs)):
-        c = _coerce(c)
         d = _scale(row + (c,))
         primes = tuple(pi.positive_finite_primes_of(d * e))
         if primes not in sides:
             m, rest = pi.split(primes)
-            sides[primes] = m, rest, [eval_mod(x, m, pi) for x in solution]
+            sides[primes] = m, rest, _residues(pi, solution, m)
         m, rest, solution_mod = sides[primes]
-        lhs, target = _row_residues(pi, row, c, m, solution_mod)
+        lhs, target = _row_residues(row, c, m, solution_mod)
         if lhs != target:
             return Verdict.no(m, lhs, target, component=i)
         # d*e times the row's discrepancy, and d*e is a unit on the rest
@@ -232,7 +294,6 @@ def verify_solution(pi: Supernatural, matrix: SigmaMatrix, rhs, solution) -> Ver
         ) - _scaled_sum(c, d) * e
         if not rest.congruent(delta, 0):
             n = refuting_modulus(rest, delta)
-            solution_mod = [eval_mod(x, n, pi) for x in solution]
-            lhs, target = _row_residues(pi, row, c, n, solution_mod)
+            lhs, target = _row_residues(row, c, n, _residues(pi, solution, n))
             return Verdict.no(n, lhs, target, component=i)
     return Verdict.yes()

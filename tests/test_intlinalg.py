@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import gcd
 
 import pytest
 
@@ -14,6 +15,7 @@ from profint import (
     solvable_in_completion,
     solve_congruences,
 )
+from profint.intlinalg import solve_nonsingular
 from conftest import sample_moduli
 
 
@@ -209,3 +211,66 @@ def test_determinant_matches_permutation_expansion():
                 prod *= m.entries[i][perm[i]]
             expected += prod
         assert m.determinant() == expected
+
+
+def test_snf_mod_m_properties():
+    rng = random.Random(36)
+    for _ in range(150):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        modulus = rng.choice([2, 8, 9, 12, 30, 72, 504, rng.randint(2, 1000)])
+        matrix = IntMatrix([[rng.randint(-99, 99) for _ in range(cols)] for _ in range(rows)])
+        res = smith_normal_form(matrix, modulus)
+        product = res.left @ matrix @ res.right
+        assert all(
+            (product[i, j] - res.diag[i, j]) % modulus == 0
+            for i in range(rows)
+            for j in range(cols)
+        )
+        assert all(
+            0 <= x < modulus for m in (res.left, res.diag, res.right) for row in m.entries for x in row
+        )
+        assert all(res.diag[i, j] == 0 for i in range(rows) for j in range(cols) if i != j)
+        assert gcd(res.left.determinant() * res.right.determinant(), modulus) == 1
+        diag = res.diagonal()
+        for a, b in zip(diag, diag[1:]):
+            assert b % gcd(a, modulus) == 0
+
+
+def test_snf_over_z_witnesses_pinned():
+    # the integer Smith form keeps the witnesses of its pivot rule, with the
+    # modulus path sharing its operations
+    res = smith_normal_form(IntMatrix([[3, -7, 2], [5, 1, -4], [0, 6, 9]]))
+    assert res.left == IntMatrix([[0, 1, 0], [-13, -61, -5], [-3063, -14373, -1178]])
+    assert res.diagonal() == [1, 1, 474]
+    assert res.right == IntMatrix([[0, -86, 173], [1, -254, 511], [0, -171, 344]])
+
+
+def test_solve_nonsingular():
+    rng = random.Random(37)
+    singular = 0
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        entries = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.2:
+            entries[-1] = [2 * x for x in entries[0]]
+        matrix = IntMatrix(entries)
+        rhs = [rng.randint(-50, 50) for _ in range(n)]
+        outcome = solve_nonsingular(matrix, rhs)
+        if outcome is None:
+            singular += 1
+            assert matrix.determinant() == 0
+            continue
+        det, numerators = outcome
+        assert det == matrix.determinant() != 0
+        assert matrix.mul_vec(numerators) == [det * c for c in rhs]
+        for i in range(n):  # Cramer: n_i = det(matrix with column i := rhs)
+            replaced = IntMatrix(
+                [row[:i] + (c,) + row[i + 1:] for row, c in zip(matrix.entries, rhs)]
+            )
+            assert numerators[i] == replaced.determinant()
+    assert singular > 5
+    assert solve_nonsingular(IntMatrix([[0, 1], [1, 0]]), [2, 3]) == (-1, [-3, -2])
+    with pytest.raises(InputError):
+        solve_nonsingular(IntMatrix([[1, 2]]), [1])
+    with pytest.raises(InputError):
+        solve_nonsingular(IntMatrix([[1]]), [1, 2])

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import profint.pseudonumber
 from profint import (
     InputError,
     Pseudonumber,
@@ -16,6 +17,7 @@ from profint import (
     parse_supernatural,
 )
 from profint._numutil import factorint
+from profint.pseudonumber import _check_signature as check_signature
 from conftest import random_pseudonumber, random_supernatural, sample_moduli
 
 PI = parse_supernatural("3^1,5^inf;default=0")
@@ -205,3 +207,16 @@ def test_parse_rejects_garbage():
             parse_pseudonumber(text, PI)
     with pytest.raises(InputError):
         parse_pseudonumber("[2^(w-1)]", None)  # terms need an ambient
+
+
+def test_parse_checks_each_bracket_once(monkeypatch):
+    checked = []
+
+    def counted(base, pi):
+        checked.append(base)
+        return check_signature(base, pi)
+
+    monkeypatch.setattr(profint.pseudonumber, "_check_signature", counted)
+    u = parse_pseudonumber("3 + 2*[6^(w-2)] - [4^(w-1)] + 0*[3^(w-3)] + [6^(w-2)]", PI)
+    assert checked == [6, 2, 3, 6]  # token order, zero coefficients included
+    assert u == 3 + 3 * omega_power(PI, 6, 2) - omega_power(PI, 2, 2)

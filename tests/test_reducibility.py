@@ -14,6 +14,7 @@ from profint import (
     Supernatural,
     Verdict,
     Witness,
+    abelianize,
     closure,
     decide_and_witness,
     equal_in_ab,
@@ -387,3 +388,17 @@ def test_verify_witness_solves_nothing(monkeypatch):
     monkeypatch.setattr(profint.reducibility, "solve_system", refuse)
     monkeypatch.setattr(profint.semilinear, "solve_system", refuse)
     assert verify_witness(pi, system, witness)
+
+
+def test_decide_abelianizes_each_side_once(monkeypatch):
+    # the witness check reuses the forms the decision built
+    pi = parse_supernatural("3^inf;default=0")
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return abelianize(*args)
+
+    monkeypatch.setattr(profint.reducibility, "abelianize", counted)
+    assert decide_and_witness(pi, square_system())
+    assert len(calls) == 2  # lhs and rhs of the one equation

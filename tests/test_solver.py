@@ -26,10 +26,11 @@ from profint import (
     solve_system,
     verify_solution,
 )
+from profint import solver as solver_module
 from profint._numutil import valuation
 from profint.intlinalg import solve_congruence
 from profint.solver import SystemRefutation, solve_single_with_refutation
-from profint.word_problem import refuting_modulus
+from profint.word_problem import _scale, _scaled_sum, refuting_modulus
 from conftest import (
     PRIME_POOL,
     linear_solution_exists,
@@ -584,3 +585,169 @@ def test_verify_solution_input_contract():
     assert verify_solution(PI, [[1, 2], [0, 1]], [5, 2], [1, 2])
     verdict = verify_solution(PI, [[1, 2], [0, 1]], [5, 2], [1, 3])
     assert not verdict and verdict.component == 0
+
+
+# -- nonsingular square systems: the rational path -----------------------------
+
+
+def reference_smith_system(pi, matrix, rhs):
+    """solve_system before nonsingular square systems took the rational path:
+    split at the primes of the bases only, and decide the rest side by the
+    Smith form over Z for every system."""
+    rhs = [x if isinstance(x, Pseudonumber) else from_integer(x) for x in rhs]
+    scales = [_scale(row + (c,)) for row, c in zip(matrix.entries, rhs)]
+    split_primes = pi.positive_finite_primes_of(lcm(*scales))
+    finite_modulus, rest = pi.split(split_primes)
+    x1 = solve_congruences(
+        IntMatrix(
+            [[eval_mod(entry, finite_modulus, pi) for entry in row] for row in matrix.entries]
+        ),
+        [eval_mod(x, finite_modulus, pi) for x in rhs],
+        finite_modulus,
+    )
+    if x1 is None:
+        return SystemRefutation(finite_modulus, "congruence system unsolvable")
+    if rest.is_finite() and rest.as_integer() == 1:
+        return [from_integer(a) for a in x1]
+    snf = smith_normal_form(IntMatrix([
+        [_scaled_sum(entry, d) for entry in row]
+        for row, d in zip(matrix.entries, scales)
+    ]))
+    targets = snf.left.mul_vec([_scaled_sum(c, d) for c, d in zip(rhs, scales)])
+    diagonal = snf.diagonal()
+    y = [from_integer(0)] * matrix.cols
+    for i, t in enumerate(targets):
+        d = diagonal[i] if i < len(diagonal) else 0
+        if d == 0:
+            if not rest.congruent(t, 0):
+                return SystemRefutation(
+                    refuting_modulus(rest, t), "zero row with nonzero right side"
+                )
+            continue
+        g = rest.gcd(d)
+        if t % g:
+            return SystemRefutation(g, "diagonal equation unsolvable")
+        y[i] = (t // g) * omega_power(pi, d // g, 1)
+    glue = omega_closure(pi, prod(split_primes))
+    return [
+        from_integer(a) + glue * (b - from_integer(a))
+        for a, b in zip(x1, snf.right.mul_vec(y))
+    ]
+
+
+def count_smith_calls(monkeypatch):
+    """A list that gets one entry per Smith form the solver takes over Z."""
+    calls = []
+
+    def counted(matrix, modulus=None):
+        if modulus is None:
+            calls.append(matrix.shape)
+        return smith_normal_form(matrix, modulus)
+
+    monkeypatch.setattr(solver_module, "smith_normal_form", counted)
+    return calls
+
+
+def test_rational_path_edge_cases(monkeypatch):
+    smith_calls = count_smith_calls(monkeypatch)
+    # an infinite rest prime divides D = 5
+    pi = parse_supernatural("5^inf;default=0")
+    outcome = solve_system(pi, SigmaMatrix([[5]], pi), [10])
+    assert [str(x) for x in outcome] == ["2"]
+    refuted = solve_system(pi, SigmaMatrix([[5]], pi), [1])
+    assert not refuted and refuted.modulus == 5
+    assert refuted.reason == "diagonal equation unsolvable"
+    # a finite prime of D is split off, so the finite side refutes at 7
+    pi = parse_supernatural("7^1;default=0")
+    refuted = solve_system(pi, SigmaMatrix([[7]], pi), [3])
+    assert not refuted and refuted.modulus == 7
+    assert refuted.reason == "congruence system unsolvable"
+    # v_2(D) = 3 exceeds the exponent 2: left on the rest, 2 would pass the
+    # divisibility test and x_2 = 1/2 would become a wrong witness
+    pi = parse_supernatural("2^2;default=0")
+    refuted = solve_system(pi, SigmaMatrix([[2, 0], [0, 4]], pi), [0, 2])
+    assert not refuted and refuted.modulus == 4
+    # an unstored prime has infinite exponent under default=inf
+    pi = parse_supernatural("default=inf")
+    refuted = solve_system(pi, SigmaMatrix([[3]], pi), [1])
+    assert not refuted and refuted.modulus == 3
+    # D = 7 is a unit on the rest: x = 3/7 = 3*[7^(w-1)]
+    pi = parse_supernatural("5^inf;default=0")
+    matrix = SigmaMatrix([[7]], pi)
+    outcome = solve_system(pi, matrix, [3])
+    assert [str(x) for x in outcome] == ["3*[7^(w-1)]"]
+    assert verify_solution(pi, matrix, [3], outcome)
+    assert smith_calls == []
+    # a singular square system takes the Smith path
+    pi = parse_supernatural("5^inf;default=0")
+    matrix = SigmaMatrix([[1, 2], [2, 4]], pi)
+    outcome = solve_system(pi, matrix, [3, 6])
+    assert outcome and verify_solution(pi, matrix, [3, 6], outcome)
+    refuted = solve_system(pi, matrix, [3, 5])
+    assert not refuted and refuted.reason == "zero row with nonzero right side"
+    assert smith_calls == [(2, 2), (2, 2)]
+
+
+def test_rational_path_matches_smith_reference(monkeypatch):
+    smith_calls = count_smith_calls(monkeypatch)
+    rng = random.Random(50)
+    seen = {"solvable": 0, "congruence system unsolvable": 0, "diagonal equation unsolvable": 0}
+    for round_ in range(240):
+        pi = ambient_of_kind(rng, ("finite", "default 0", "default inf")[round_ % 3])
+        n = rng.randint(1, 6)
+
+        def entry():
+            if round_ % 2:
+                return random_pseudonumber(rng, pi, max_terms=1, base_limit=14, coeff_limit=9,
+                                           offset_limit=2)
+            return from_integer(rng.randint(-9, 9))
+
+        matrix = SigmaMatrix([[entry() for _ in range(n)] for _ in range(n)], pi)
+        if rng.random() < 0.4:
+            rhs = matrix.mul_vec([entry() for _ in range(n)])
+        else:
+            rhs = [entry() for _ in range(n)]
+        scales = [_scale(row + (c,)) for row, c in zip(matrix.entries, rhs)]
+        integer_matrix = IntMatrix(
+            [[_scaled_sum(a, d) for a in row] for row, d in zip(matrix.entries, scales)]
+        )
+        if integer_matrix.determinant() == 0:
+            continue
+        del smith_calls[:]
+        outcome = solve_system(pi, matrix, rhs)
+        assert smith_calls == []
+        expected = reference_smith_system(pi, matrix, rhs)
+        assert bool(outcome) == bool(expected), (pi, matrix.entries, rhs)
+        if outcome:
+            seen["solvable"] += 1
+            assert verify_solution(pi, matrix, rhs, outcome)
+            continue
+        seen[outcome.reason] += 1
+        m = outcome.modulus
+        assert pi.divisible_by(m)
+        rows = [[eval_mod(a, m, pi) for a in row] for row in matrix.entries]
+        targets = [eval_mod(x, m, pi) for x in rhs]
+        if m**n <= 5000:
+            assert not linear_solution_exists(rows, targets, m)
+        else:
+            assert solve_congruences(IntMatrix(rows), targets, m) is None
+    assert min(seen.values()) > 10, seen
+
+
+def test_each_modulus_checked_once(monkeypatch):
+    pi = parse_supernatural("2^3,3^2,5^inf,7^1;default=0")
+    matrix = SigmaMatrix([[2, 1, omega_power(pi, 3, 1)], [1, 4, 1], [3, 0, 5]], pi)
+    rhs = matrix.mul_vec([1, omega_power(pi, 2, 2), 3])
+    checked = []
+    divisible_by = Supernatural.divisible_by
+
+    def counted(self, n):
+        checked.append(n)
+        return divisible_by(self, n)
+
+    monkeypatch.setattr(Supernatural, "divisible_by", counted)
+    outcome = solve_system(pi, matrix, rhs)
+    assert outcome and len(checked) == 1
+    del checked[:]
+    assert verify_solution(pi, matrix, rhs, outcome)
+    assert len(checked) == len(set(checked))  # once per distinct split
