@@ -16,7 +16,6 @@ from .intlinalg import (
     ext_gcd,
     parse_int_matrix,
     smith_normal_form,
-    solvable_in_completion,
     solve_congruences,
 )
 from .pseudonumber import (
@@ -104,7 +103,6 @@ __all__ = [
     "parse_term",
     "plus_closure_generators",
     "smith_normal_form",
-    "solvable_in_completion",
     "solve_congruences",
     "solve_single",
     "solve_system",

@@ -1,18 +1,24 @@
 """Exact integer linear algebra: extended gcd, fraction-free (Bareiss)
 elimination for determinants and nonsingular square systems, Smith normal
-form with unimodular witnesses, modular congruence systems, and the
-solvability test for a single integer-coefficient equation over the
-restricted completion.
+form with unimodular witnesses, and congruence systems solved one prime
+power at a time.
 
 Matrices hold arbitrary-precision integers and are immutable after
 construction.  Bareiss elimination keeps every intermediate entry a minor of
 the input, so the integers of a nonsingular system A*x = c stay the size of
 the minors of [A | c]; its solution comes back as integers n with
 x = n / det(A).
-The Smith reduction pivots on the smallest nonzero absolute value (ties
-broken lexicographically), so the witnesses L and R are reproducible across
-runs.  Over Z they can grow far past the input; taken mod M, as the
-congruence solver takes it, every entry stays below M.
+The Smith reduction over Z pivots on the smallest nonzero absolute value
+(ties broken lexicographically), so the witnesses L and R are reproducible
+across runs; they can grow far past the input.
+
+Finite side.  A congruence system mod M = prod p^e is solved locally: for
+each p^e, row reduction mod p^e with pivots of least p-valuation leaves an
+echelon form whose entries stay below p^e, and either a row that fails, which
+refutes already mod p^(v+1) for the valuation v of its right side, or a
+solution by back substitution.  The solutions mod each p^e are glued by the
+Chinese remainder theorem.  The caller supplies the prime powers, so nothing
+is factored.
 """
 from __future__ import annotations
 
@@ -20,8 +26,6 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import InputError
-from .pseudonumber import Pseudonumber, eval_mod, from_integer
-from .supernatural import Supernatural
 
 
 class IntMatrix:
@@ -201,19 +205,10 @@ class SnfResult:
         ]
 
 
-def smith_normal_form(matrix: IntMatrix, modulus: int | None = None) -> SnfResult:
-    """Smith form left @ matrix @ right = diag over Z, or mod `modulus`.
-
-    Mod M every operation is followed by reduction mod M, so no entry of the
-    matrix or of the witnesses leaves [0, M): then the equation holds mod M,
-    left and right are invertible mod M, and gcd(d_i, M) divides d_{i+1}.
-    The same pivots and operations run either way.
-    """
+def smith_normal_form(matrix: IntMatrix) -> SnfResult:
+    """Smith form left @ matrix @ right = diag over Z."""
     s, t = matrix.rows, matrix.cols
-    a = [
-        [x % modulus for x in row] if modulus else list(row)
-        for row in matrix.entries
-    ]
+    a = [list(row) for row in matrix.entries]
     left = [[int(i == j) for j in range(s)] for i in range(s)]
     right = [[int(i == j) for j in range(t)] for i in range(t)]
 
@@ -232,17 +227,13 @@ def smith_normal_form(matrix: IntMatrix, modulus: int | None = None) -> SnfResul
     def add_row(dst, src, q):
         if q:
             for m in (a, left):
-                if modulus:
-                    m[dst] = [(x + q * y) % modulus for x, y in zip(m[dst], m[src])]
-                else:
-                    m[dst] = [x + q * y for x, y in zip(m[dst], m[src])]
+                m[dst] = [x + q * y for x, y in zip(m[dst], m[src])]
 
     def add_col(dst, src, q):
         if q:
             for m in (a, right):
                 for row in m:
-                    x = row[dst] + q * row[src]
-                    row[dst] = x % modulus if modulus else x
+                    row[dst] += q * row[src]
 
     for k in range(min(s, t)):
         while True:
@@ -283,54 +274,95 @@ def smith_normal_form(matrix: IntMatrix, modulus: int | None = None) -> SnfResul
     return SnfResult(IntMatrix(left), IntMatrix(a), IntMatrix(right))
 
 
-def solve_congruence(a: int, b: int, modulus: int) -> int | None:
-    """The least x >= 0 with a*x = b (mod modulus), or None when
-    gcd(a, modulus) does not divide b."""
-    g = gcd(a, modulus)
-    if b % g:
-        return None
-    reduced = modulus // g
-    return (b // g) * pow(a // g, -1, reduced) % reduced if reduced > 1 else 0
+def _echelon(rows, q: int):
+    """Row-reduce the augmented rows [A | b] mod q = p^e, in place.
+
+    Each pivot is an entry of least p-valuation in the rows and columns not
+    yet reduced (its gcd with q is least), moved into place by a row and a
+    column swap and scaled to that power of p.  It then divides every entry
+    below it and to its right, so the rows under it clear without growing.
+    Returns the column order (position -> original column) and the pivots;
+    rows past the last pivot are zero mod q in every column of A.
+    """
+    cols = len(rows[0]) - 1
+    order = list(range(cols))
+    pivots = []
+    for k in range(min(len(rows), cols)):
+        best, least = None, q
+        for i in range(k, len(rows)):
+            row = rows[i]
+            for j in range(k, cols):
+                g = gcd(row[j], q)
+                if g < least:
+                    best, least = (i, j), g
+                    if g == 1:
+                        break
+            if least == 1:
+                break
+        if best is None:
+            break
+        i, j = best
+        rows[k], rows[i] = rows[i], rows[k]
+        if j != k:
+            for row in rows:
+                row[k], row[j] = row[j], row[k]
+            order[k], order[j] = order[j], order[k]
+        pivot_row = rows[k]
+        unit = pow(pivot_row[k] // least, -1, q)
+        if unit != 1:
+            pivot_row[k:] = [x * unit % q for x in pivot_row[k:]]
+        tail = pivot_row[k:]
+        for row in rows[k + 1:]:
+            f = row[k] // least
+            if f:
+                row[k:] = [(x - f * y) % q for x, y in zip(row[k:], tail)]
+        pivots.append(least)
+    return order, pivots
 
 
-def solve_congruences(matrix: IntMatrix, rhs, modulus: int):
-    """A vector X with matrix @ X = rhs (mod modulus), components in
-    [0, modulus), or None when the system has no solution.
+def solve_congruences(matrix: IntMatrix, rhs, prime_powers):
+    """Solve matrix @ X = rhs mod M = prod p^e over the pairs (p, e) of
+    `prime_powers`, distinct primes with e >= 1.
 
-    Diagonalizes the matrix mod `modulus`, solves each scalar congruence by
-    the gcd test, and maps the result back through the right witness.
+    Returns (X, None) with components in [0, M), or (None, p^(v+1)) for a
+    prime power dividing M modulo which the system already has no solution.
+
+    Each p^e is solved alone (:func:`_echelon`): a row whose right side b has
+    p-valuation v below its pivot's, or a zero row with b nonzero mod p^e,
+    reads 0 = b mod p^(v+1), which refutes (the row operations stay
+    invertible there).  The primes are tried in the order given, and the
+    failing row of least v names the modulus: the least power of the first
+    failing prime at which the system fails.  Otherwise the back
+    substitution sets the free variables to 0, and the solutions mod each
+    p^e are glued by the Chinese remainder theorem.
     """
     rhs = [int(x) for x in rhs]
     if len(rhs) != matrix.rows:
         raise InputError(f"right side length {len(rhs)} does not match {matrix.shape}")
-    if modulus < 1:
-        raise InputError(f"modulus must be positive, got {modulus}")
-    if modulus == 1:
-        return [0] * matrix.cols
-    snf = smith_normal_form(matrix, modulus)
-    transformed = snf.left.mul_vec(rhs)
-    rank_bound = min(matrix.rows, matrix.cols)
-    y = [0] * matrix.cols
-    for i in range(matrix.rows):
-        d = snf.diag.entries[i][i] if i < rank_bound else 0
-        x = solve_congruence(d, transformed[i] % modulus, modulus)
-        if x is None:
-            return None
-        if d:  # zero rows past the column count have no unknown
-            y[i] = x
-    return [x % modulus for x in snf.right.mul_vec(y)]
-
-
-def solvable_in_completion(pi: Supernatural, a: int, b) -> bool:
-    """Whether a*x = b is solvable over the completion restricted by pi.
-
-    For nonzero a this is the gcd criterion: b must vanish modulo
-    gcd(|a|, pi).  For a = 0 it degenerates to b vanishing everywhere.
-    """
-    from .word_problem import is_zero
-
-    b = b if isinstance(b, Pseudonumber) else from_integer(b)
-    if a == 0:
-        return bool(is_zero(pi, b))
-    d = pi.gcd(abs(a))
-    return eval_mod(b, d, pi) == 0
+    cols = matrix.cols
+    solution, modulus = [0] * cols, 1
+    for p, e in prime_powers:
+        if e < 1:
+            raise InputError(f"prime power exponent must be positive, got {p}^{e}")
+        q = p**e
+        rows = [[x % q for x in row] + [b % q] for row, b in zip(matrix.entries, rhs)]
+        order, pivots = _echelon(rows, q)
+        failing = [
+            gcd(row[cols], q)
+            for row, g in zip(rows, pivots + [q] * (len(rows) - len(pivots)))
+            if row[cols] % g
+        ]
+        if failing:
+            return None, min(failing) * p
+        y = [0] * cols  # in pivot order; the free variables stay 0
+        for k in range(len(pivots) - 1, -1, -1):
+            row = rows[k]
+            r = row[cols] - sum(a * z for a, z in zip(row[k + 1:len(pivots)], y[k + 1:]))
+            y[k] = r % q // pivots[k]
+        x = [0] * cols
+        for k, z in zip(order, y):
+            x[k] = z
+        inverse = pow(modulus, -1, q)  # CRT: keep the residues mod `modulus`, add x's mod q
+        solution = [w + modulus * ((z - w) * inverse % q) for w, z in zip(solution, x)]
+        modulus *= q
+    return solution, None

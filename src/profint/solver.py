@@ -12,7 +12,10 @@ modulus M and a remainder `rest`; there every base and every d_i is a unit,
 and every prime of D has infinite exponent.
 
 Finite side.  The residues of B and C mod M form a congruence system, solved
-by a Smith form taken mod M; when it has no solution, M refutes the system.
+one prime power p^e of M at a time (the split primes with their exponents, so
+nothing is factored) and glued by the Chinese remainder theorem.  When it has
+no solution, the failing row of the elimination mod p^e names a p^(v+1)
+dividing M that refutes the system.
 
 Rest side, nonsingular square A.  The diagonal equations D * x_i = n_i hold
 on the rest exactly when g = gcd(|D|, rest) divides every n_i; then
@@ -175,18 +178,19 @@ def solve_system(pi: Supernatural, matrix: SigmaMatrix, rhs):
     split_primes = pi.positive_finite_primes_of(lcm(*scales) * det)
     finite_modulus, rest = pi.split(split_primes)
 
-    # finite side: congruence system for the original entries
+    # finite side: congruence system for the original entries, solved per
+    # prime power of M; a failure names the p^(v+1) where it already fails
     check_modulus(finite_modulus, pi)
-    x1 = solve_congruences(
+    x1, refuted = solve_congruences(
         IntMatrix([
             [_residue(entry, finite_modulus) for entry in row]
             for row in matrix.entries
         ]),
         [_residue(x, finite_modulus) for x in rhs],
-        finite_modulus,
+        [(p, pi.exponent_of(p)) for p in split_primes],
     )
     if x1 is None:
-        return SystemRefutation(finite_modulus, "congruence system unsolvable")
+        return SystemRefutation(refuted, "congruence system unsolvable")
     if rest.is_finite() and rest.as_integer() == 1:
         return [from_integer(a) for a in x1]  # M is the whole ambient
 

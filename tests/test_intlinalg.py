@@ -7,16 +7,22 @@ import pytest
 from profint import (
     InputError,
     IntMatrix,
+    Pseudonumber,
+    Supernatural,
+    eval_mod,
     ext_gcd,
+    from_integer,
+    is_zero,
     omega_power,
     parse_int_matrix,
     parse_supernatural,
     smith_normal_form,
-    solvable_in_completion,
     solve_congruences,
 )
-from profint.intlinalg import solve_nonsingular
-from conftest import sample_moduli
+from profint._numutil import factorint
+from profint.intlinalg import _echelon, solve_nonsingular
+from conftest import linear_solution_exists, sample_moduli
+from reference_congruences import smith_normal_form_mod, solve_congruences_mod
 
 
 def brute_ext_gcd(a, b):
@@ -110,9 +116,14 @@ def test_snf_deterministic():
 
 
 def test_solve_congruences_examples():
-    assert solve_congruences(IntMatrix([[2]]), [0], 3) == [0]
-    assert solve_congruences(IntMatrix([[2]]), [1], 4) is None
-    assert solve_congruences(IntMatrix([[1, 1], [0, 1]]), [5, 2], 7) == [3, 2]
+    assert solve_congruences(IntMatrix([[2]]), [0], [(3, 1)]) == ([0], None)
+    assert solve_congruences(IntMatrix([[2]]), [1], [(2, 2)]) == (None, 2)
+    assert solve_congruences(IntMatrix([[1, 1], [0, 1]]), [5, 2], [(7, 1)]) == ([3, 2], None)
+    assert solve_congruences(IntMatrix([[3, 5]]), [7], []) == ([0, 0], None)  # M = 1
+    with pytest.raises(InputError):
+        solve_congruences(IntMatrix([[1]]), [1, 2], [(2, 1)])
+    with pytest.raises(InputError):
+        solve_congruences(IntMatrix([[1]]), [1], [(2, 0)])
 
 
 def brute_congruence_solvable(matrix, rhs, modulus):
@@ -135,13 +146,90 @@ def test_solve_congruences_against_exhaustion():
             [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
         )
         rhs = [rng.randint(-9, 9) for _ in range(rows)]
-        found = solve_congruences(matrix, rhs, modulus)
+        found, refuted = solve_congruences(matrix, rhs, factorint(modulus))
         if found is None:
+            assert modulus % refuted == 0
+            assert not brute_congruence_solvable(matrix, rhs, refuted)
             assert not brute_congruence_solvable(matrix, rhs, modulus)
         else:
             assert all(0 <= x < modulus for x in found)
             for row, b in zip(matrix.entries, rhs):
                 assert sum(a * v for a, v in zip(row, found)) % modulus == b % modulus
+
+
+def failure_kinds(matrix, rhs, prime_powers):
+    """The kinds of failing rows the elimination mod the first failing p^e
+    meets: "zero row" (zero mod p^e, right side not) or "pivot row" (right
+    side of p-valuation below the pivot's)."""
+    for p, e in prime_powers:
+        q = p**e
+        rows = [[x % q for x in row] + [b % q] for row, b in zip(matrix.entries, rhs)]
+        _, pivots = _echelon(rows, q)
+        kinds = set()
+        for k, row in enumerate(rows):
+            if k >= len(pivots) and row[-1]:
+                kinds.add("zero row")
+            elif k < len(pivots) and row[-1] % pivots[k]:
+                kinds.add("pivot row")
+        if kinds:
+            return kinds
+    return set()
+
+
+def test_solve_congruences_matches_smith_reference():
+    # the local solver against the Smith form mod the whole M, on moduli of
+    # 1-3 prime powers and square, non-square, rank-deficient matrices with
+    # zero rows
+    rng = random.Random(38)
+    kinds = {"zero row": 0, "pivot row": 0}
+    exhausted = 0
+    for round_ in range(600):
+        primes = rng.sample((2, 3, 5, 7), rng.randint(1, 3))
+        prime_powers = [(p, rng.randint(1, 3 if p < 5 else 2)) for p in primes]
+        modulus = 1
+        for p, e in prime_powers:
+            modulus *= p**e
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        entries = [[rng.randint(-12, 12) for _ in range(cols)] for _ in range(rows)]
+        if round_ % 3 == 1 and rows > 1:  # rank deficient: a multiple of row 0
+            entries[-1] = [rng.choice((2, 3, 6)) * x for x in entries[0]]
+        if round_ % 3 == 2:  # entries sharing a prime of M, and a zero row
+            p = prime_powers[0][0]
+            entries = [[p * x for x in row] for row in entries]
+            entries[rng.randrange(rows)] = [0] * cols
+        matrix = IntMatrix(entries)
+        rhs = [rng.randint(-12, 12) for _ in range(rows)]
+        found, refuted = solve_congruences(matrix, rhs, prime_powers)
+        expected = solve_congruences_mod(matrix, rhs, modulus)
+        assert (found is None) == (expected is None), (entries, rhs, prime_powers)
+        if found is not None:
+            assert refuted is None
+            assert all(0 <= x < modulus for x in found)
+            for row, b in zip(entries, rhs):
+                assert (sum(a * x for a, x in zip(row, found)) - b) % modulus == 0
+            continue
+        for kind in failure_kinds(matrix, rhs, prime_powers):
+            kinds[kind] += 1
+        assert modulus % refuted == 0
+        assert any(refuted == p ** v for p, e in prime_powers for v in range(1, e + 1))
+        if refuted**cols <= 5000:
+            exhausted += 1
+            assert not linear_solution_exists(entries, rhs, refuted)
+    assert min(kinds.values()) > 10, kinds
+    assert exhausted > 50
+
+
+def solvable_in_completion(pi: Supernatural, a: int, b) -> bool:
+    """Whether a*x = b is solvable over the completion restricted by pi.
+
+    For nonzero a this is the gcd criterion: b must vanish modulo
+    gcd(|a|, pi).  For a = 0 it degenerates to b vanishing everywhere.
+    """
+    b = b if isinstance(b, Pseudonumber) else from_integer(b)
+    if a == 0:
+        return bool(is_zero(pi, b))
+    d = pi.gcd(abs(a))
+    return eval_mod(b, d, pi) == 0
 
 
 def test_solvable_in_completion_examples():
@@ -219,7 +307,7 @@ def test_snf_mod_m_properties():
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         modulus = rng.choice([2, 8, 9, 12, 30, 72, 504, rng.randint(2, 1000)])
         matrix = IntMatrix([[rng.randint(-99, 99) for _ in range(cols)] for _ in range(rows)])
-        res = smith_normal_form(matrix, modulus)
+        res = smith_normal_form_mod(matrix, modulus)
         product = res.left @ matrix @ res.right
         assert all(
             (product[i, j] - res.diag[i, j]) % modulus == 0
@@ -237,8 +325,7 @@ def test_snf_mod_m_properties():
 
 
 def test_snf_over_z_witnesses_pinned():
-    # the integer Smith form keeps the witnesses of its pivot rule, with the
-    # modulus path sharing its operations
+    # the integer Smith form keeps the witnesses of its pivot rule
     res = smith_normal_form(IntMatrix([[3, -7, 2], [5, 1, -4], [0, 6, 9]]))
     assert res.left == IntMatrix([[0, 1, 0], [-13, -61, -5], [-3063, -14373, -1178]])
     assert res.diagonal() == [1, 1, 474]

@@ -21,14 +21,12 @@ from profint import (
     parse_pseudonumber,
     parse_supernatural,
     smith_normal_form,
-    solve_congruences,
     solve_single,
     solve_system,
     verify_solution,
 )
 from profint import solver as solver_module
 from profint._numutil import valuation
-from profint.intlinalg import solve_congruence
 from profint.solver import SystemRefutation, solve_single_with_refutation
 from profint.word_problem import _scale, _scaled_sum, refuting_modulus
 from conftest import (
@@ -37,6 +35,7 @@ from conftest import (
     random_pseudonumber,
     random_supernatural,
 )
+from reference_congruences import solve_congruence, solve_congruences_mod
 
 PI = parse_supernatural("3^1,5^inf;default=0")
 
@@ -346,7 +345,7 @@ def reference_system(pi, matrix, rhs):
     transformed = snf.left.mul_vec([from_integer(common) * x for x in rhs])
     split_primes = pi.positive_finite_primes_of(common)
     finite_modulus, _ = pi.split(split_primes)
-    x2 = solve_congruences(
+    x2 = solve_congruences_mod(
         IntMatrix(
             [[eval_mod(entry, finite_modulus, pi) for entry in row] for row in matrix.entries]
         ),
@@ -494,6 +493,21 @@ def test_trivial_rest_returns_the_residues():
     assert verify_solution(pi, matrix, [1, 2], outcome)
 
 
+def test_congruence_refutation_at_failing_prime_power():
+    # the finite side refutes at the p^(v+1) where its elimination fails, a
+    # divisor of M; the whole M (8 and 72 here) refutes too
+    for text, coefficient, target, modulus, refuting in (
+        ("2^3;default=0", 2, 1, 8, 2),  # 2x = 1: the right side is odd
+        ("2^3,3^2;default=0", 6, 3, 72, 2),  # 6x = 3 fails mod 2, holds mod 9
+    ):
+        pi = parse_supernatural(text)
+        refuted = solve_system(pi, SigmaMatrix([[coefficient]], pi), [target])
+        assert not refuted and refuted.reason == "congruence system unsolvable"
+        assert refuted.modulus == refuting
+        assert solve_congruences_mod(IntMatrix([[coefficient]]), [target], modulus) is None
+        assert_refutes(pi, SigmaMatrix([[coefficient]], pi), [from_integer(target)], refuting)
+
+
 # -- differential check of the verifier against expanded products -------------
 
 
@@ -598,7 +612,7 @@ def reference_smith_system(pi, matrix, rhs):
     scales = [_scale(row + (c,)) for row, c in zip(matrix.entries, rhs)]
     split_primes = pi.positive_finite_primes_of(lcm(*scales))
     finite_modulus, rest = pi.split(split_primes)
-    x1 = solve_congruences(
+    x1 = solve_congruences_mod(
         IntMatrix(
             [[eval_mod(entry, finite_modulus, pi) for entry in row] for row in matrix.entries]
         ),
@@ -639,10 +653,9 @@ def count_smith_calls(monkeypatch):
     """A list that gets one entry per Smith form the solver takes over Z."""
     calls = []
 
-    def counted(matrix, modulus=None):
-        if modulus is None:
-            calls.append(matrix.shape)
-        return smith_normal_form(matrix, modulus)
+    def counted(matrix):
+        calls.append(matrix.shape)
+        return smith_normal_form(matrix)
 
     monkeypatch.setattr(solver_module, "smith_normal_form", counted)
     return calls
@@ -730,7 +743,7 @@ def test_rational_path_matches_smith_reference(monkeypatch):
         if m**n <= 5000:
             assert not linear_solution_exists(rows, targets, m)
         else:
-            assert solve_congruences(IntMatrix(rows), targets, m) is None
+            assert solve_congruences_mod(IntMatrix(rows), targets, m) is None
     assert min(seen.values()) > 10, seen
 
 
