@@ -13,8 +13,6 @@ from .errors import InputError, ResourceError, SignatureError
 from .intlinalg import (
     IntMatrix,
     SnfResult,
-    ext_gcd,
-    parse_int_matrix,
     smith_normal_form,
     solve_congruences,
 )
@@ -90,13 +88,11 @@ __all__ = [
     "equal_in_ab",
     "equal_vectors",
     "eval_mod",
-    "ext_gcd",
     "from_integer",
     "is_zero",
     "member_of_closure",
     "omega_closure",
     "omega_power",
-    "parse_int_matrix",
     "parse_pseudonumber",
     "parse_semilinear",
     "parse_supernatural",

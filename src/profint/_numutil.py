@@ -1,9 +1,8 @@
-"""Small integer helpers: primality, factorization, valuations.
+"""Small integer helpers: primality, valuations, integer roots.
 
-Everything here is exact and deterministic.  Factorization is plain trial
-division; all factored values in the decision procedures are smooth by
-construction (term bases and their products), so this never becomes the
-bottleneck at desk scale.
+Everything here is exact and deterministic.  Nothing is factored: questions
+about the primes of an integer are answered from an ambient's stored table
+(see :mod:`profint.supernatural`).
 """
 from __future__ import annotations
 
@@ -35,34 +34,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-@lru_cache(maxsize=65536)
-def factorint(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization of n >= 1 as a sorted tuple of (prime, exponent)."""
-    if n < 1:
-        raise ValueError(f"cannot factor {n}")
-    out = []
-    for p in (2, 3):
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-    d, step = 5, 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += step
-        step = 6 - step
-    if n > 1:
-        out.append((n, 1))
-    return tuple(out)
 
 
 def valuation(n: int, p: int) -> int:

@@ -1,7 +1,7 @@
-"""Exact integer linear algebra: extended gcd, fraction-free (Bareiss)
-elimination for determinants and nonsingular square systems, Smith normal
-form with unimodular witnesses, and congruence systems solved one prime
-power at a time.
+"""Exact integer linear algebra: fraction-free (Bareiss) elimination for
+determinants and nonsingular square systems, Smith normal form with
+unimodular witnesses, and congruence systems solved one prime power at a
+time.
 
 Matrices hold arbitrary-precision integers and are immutable after
 construction.  Bareiss elimination keeps every intermediate entry a minor of
@@ -158,35 +158,6 @@ def solve_nonsingular(matrix: IntMatrix, rhs) -> tuple[int, list[int]] | None:
         known = sum(a * x for a, x in zip(row[i + 1:n], numerators[i + 1:]))
         numerators[i] = (det * row[n] - known) // row[i]
     return det, numerators
-
-
-def parse_int_matrix(text: str) -> IntMatrix:
-    """Parse ``2,4;6,8`` (rows separated by ;, entries by ,)."""
-    try:
-        rows = [
-            [int(cell) for cell in row.split(",")]
-            for row in text.strip().split(";")
-        ]
-    except ValueError as exc:
-        raise InputError(f"bad matrix {text!r}: {exc}") from None
-    return IntMatrix(rows)
-
-
-def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with g = gcd(a, b) >= 0 and s*a + t*b = g; (0,0) -> (0,0,0)."""
-    if a == 0 and b == 0:
-        return 0, 0, 0
-    s, next_s = 1, 0
-    t, next_t = 0, 1
-    g, next_g = a, b
-    while next_g:
-        q = g // next_g
-        s, next_s = next_s, s - q * next_s
-        t, next_t = next_t, t - q * next_t
-        g, next_g = next_g, g - q * next_g
-    if g < 0:
-        g, s, t = -g, -s, -t
-    return g, s, t
 
 
 @dataclass(frozen=True)

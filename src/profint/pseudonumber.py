@@ -59,20 +59,10 @@ def _merge_ambient(a: Supernatural | None, b: Supernatural | None):
 def _check_signature(base: int, pi: Supernatural):
     """Every prime of the base must have finite ambient exponent.  Decided
     against the stored table only, so the base is never factored."""
-    if pi.default == 0:
-        for p, e in pi.table:
-            if e == INFINITY and base % p == 0:
-                raise SignatureError(
-                    f"base {base} has prime {p} of infinite exponent in {pi}"
-                )
-        return
-    rest = base
-    for p, _ in pi.table:  # stored exponents are finite when the default is inf
-        while rest % p == 0:
-            rest //= p
-    if rest != 1:
+    part = pi.infinite_part(base)
+    if part != 1:
         raise SignatureError(
-            f"base {base} has a factor {rest} of infinite exponent in {pi}"
+            f"base {base} has a factor {part} of infinite exponent in {pi}"
         )
 
 

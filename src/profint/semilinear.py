@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import InputError
-from .pseudonumber import Pseudonumber, from_integer
+from .pseudonumber import Pseudonumber, _literal, from_integer
 from .solver import SigmaMatrix, solve_system
 from .supernatural import Supernatural
 from .word_problem import equal_vectors
@@ -222,9 +222,9 @@ def _parse_vector(piece: str, width):
     piece = piece.strip()
     m = _TUPLE.fullmatch(piece)
     if m:
-        vec = tuple(int(x) for x in m.group(1).split(","))
+        vec = tuple(_literal(x.strip()) for x in m.group(1).split(","))
     elif re.fullmatch(r"-?\d+", piece):
-        vec = (int(piece),)
+        vec = (_literal(piece),)
     else:
         raise InputError(f"bad vector {piece!r}")
     if width is not None and len(vec) != width:

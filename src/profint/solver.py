@@ -34,13 +34,13 @@ the idempotent G^w is 0 on M and 1 on the rest, so the witness is
 ``x1 + G^w * (y - x1)``; when the rest is trivial, x1 alone is.  A single
 equation u*x = v is the 1x1 system.
 
-Verify.  A witness x is checked on the same split, row by row, without
-multiplying pseudonumbers out.  Row i splits at the primes of its bases and of
-x's; mod M its two sides are compared as residues, and on the rest, with
-e = lcm(b^k) over x, the integer ``sum_j A_ij*(e*x_j) - c_i*e`` is d_i*e times
-the row's discrepancy, so it must vanish there.  The first failing row is the
-refutation's component.  Each modulus is checked against the ambient once,
-not once per residue.
+Verify.  A witness x is checked on one split, row by row, without
+multiplying pseudonumbers out.  With e = lcm(b^k) over x, the ambient splits
+once at the primes of lcm(d_i) * e; mod M each row's two sides are compared
+as residues, and on the rest the integer ``sum_j A_ij*(e*x_j) - c_i*e`` is
+d_i*e times the row's discrepancy, so it must vanish there.  The first
+failing row is the refutation's component.  Each modulus is checked against
+the ambient once, not once per residue.
 """
 from __future__ import annotations
 
@@ -281,14 +281,10 @@ def verify_solution(pi: Supernatural, matrix: SigmaMatrix, rhs, solution) -> Ver
 
     e = _scale(solution)
     scaled_solution = [_scaled_sum(x, e) for x in solution]
-    sides = {}  # split primes -> (M, rest, solution residues mod M)
-    for i, (row, c) in enumerate(zip(matrix.entries, rhs)):
-        d = _scale(row + (c,))
-        primes = tuple(pi.positive_finite_primes_of(d * e))
-        if primes not in sides:
-            m, rest = pi.split(primes)
-            sides[primes] = m, rest, _residues(pi, solution, m)
-        m, rest, solution_mod = sides[primes]
+    scales = [_scale(row + (c,)) for row, c in zip(matrix.entries, rhs)]
+    m, rest = pi.split(pi.positive_finite_primes_of(lcm(*scales) * e))
+    solution_mod = _residues(pi, solution, m)
+    for i, (row, c, d) in enumerate(zip(matrix.entries, rhs, scales)):
         lhs, target = _row_residues(row, c, m, solution_mod)
         if lhs != target:
             return Verdict.no(m, lhs, target, component=i)

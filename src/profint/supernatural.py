@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from ._numutil import factorint, is_prime, primes_from
+from ._numutil import is_prime, primes_from
 from .errors import InputError
 
 INFINITY = float("inf")
@@ -74,8 +74,8 @@ class Supernatural:
     def divisible_by(self, n: int) -> bool:
         """True iff the positive integer n divides this supernatural number.
 
-        Table-driven: only the stored primes are tested, so n is never
-        factored and may be arbitrarily large.
+        Table-driven, like :meth:`gcd`: only the stored primes are divided
+        out, so n is never factored and may be arbitrarily large.
         """
         if n < 1:
             raise InputError(f"divisor must be positive, got {n}")
@@ -140,21 +140,13 @@ class Supernatural:
         over `primes` and `rest` zero on them, so that self = M * rest."""
         primes = sorted(set(primes))
         m = 1
-        overrides = {}
         for p in primes:
             e = self.exponent_of(p)
             if e == INFINITY:
                 raise InputError(f"cannot split at prime {p} of infinite exponent")
             m *= p ** e
-            overrides[p] = 0
-        return m, self.override(overrides)
-
-    def override(self, overrides: dict) -> "Supernatural":
-        """Copy with the exponents of the given primes replaced."""
-        table = {p: e for p, e in self._table if p not in overrides}
-        for p, e in overrides.items():
-            table[p] = e
-        return Supernatural(table, self.default)
+        kept = [(p, e) for p, e in self._table if p not in primes]
+        return m, Supernatural(kept + [(p, 0) for p in primes], self.default)
 
     # -- global shape ------------------------------------------------------
 
@@ -225,7 +217,8 @@ class Supernatural:
         are <= bound, biased toward large and prime-power values.
 
         Deterministic for a given seed; the largest divisor <= bound is
-        always included when count >= 1.
+        always included when count >= 1.  Random draws are made divisors by
+        :meth:`gcd`, so no draw is factored.
         """
         if bound < 1 or count < 1:
             raise InputError("bound and count must be positive")
@@ -245,13 +238,8 @@ class Supernatural:
         rng = random.Random(seed)
         tries = 0
         while len(set(picks)) < count and tries < 8 * count:
-            n = rng.randint(1, bound)
             # cap every prime exponent to make the draw a divisor
-            for p, e in factorint(n):
-                cap = self.exponent_of(p)
-                if e > cap:
-                    n //= p ** (e - cap)
-            picks.append(n)
+            picks.append(self.gcd(rng.randint(1, bound)))
             tries += 1
         picks.append(1)
         seen, chosen = set(), []

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from functools import lru_cache
 
 from profint import INFINITY, Pseudonumber, ResourceError, Supernatural
 from profint.oracle import MAX_ASSIGNMENTS
@@ -28,10 +29,37 @@ def random_supernatural(rng: random.Random, max_exp: int = 4) -> Supernatural:
     return Supernatural(table, default)
 
 
+@lru_cache(maxsize=65536)
+def factorint(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorization of n >= 1 as a sorted tuple of (prime, exponent),
+    by trial division: an independent reference for the table-driven code."""
+    if n < 1:
+        raise ValueError(f"cannot factor {n}")
+    out = []
+    for p in (2, 3):
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+    d, step = 5, 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += step
+        step = 6 - step
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
 def finite_base_pool(pi: Supernatural, limit: int = 30) -> list[int]:
     """Admissible term bases up to the limit: every prime exponent finite."""
-    from profint._numutil import factorint
-
     return [
         n
         for n in range(2, limit + 1)

@@ -27,8 +27,12 @@ from profint import (
 )
 from profint.oracle import MAX_MODULUS, search_quotient
 from profint.reducibility import EquationSystem
-from profint._numutil import factorint
-from conftest import linear_solution_exists, random_pseudonumber, random_supernatural
+from conftest import (
+    factorint,
+    linear_solution_exists,
+    random_pseudonumber,
+    random_supernatural,
+)
 
 from test_semilinear import enumerate_points, random_semilinear
 

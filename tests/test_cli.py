@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -218,6 +222,10 @@ MALFORMED_INPUTS = {
     ),
     "reduce-equation-number": (["reduce"], json.dumps(dict(REDUCE_DOC, pi=PI3, equations=[5]))),
     "reduce-variables-text": (["reduce"], json.dumps(dict(REDUCE_DOC, pi=PI3, variables="xy"))),
+    "member-overlong-tuple-entry": (
+        ["member"],
+        json.dumps({"pi": PI3, "constraint": "(%s)+(2)N" % ("1" * 5000), "vector": ["1"]}),
+    ),
     "oracle-term-bad-residue": (
         ["oracle", "term", "--pi", PI3, "--modulus", "3", "--variables", "x",
          "--assign", "x=abc", "--expr", "x"],
@@ -297,6 +305,25 @@ def test_oracle_divisors_deterministic(capsys, monkeypatch):
     assert code == 0
     _, out2, _ = run_cli(argv, capsys=capsys)
     assert out1 == out2 == "1 2 4 8\n"
+
+
+def test_oracle_divisors_of_large_bound_finish():
+    # random draws up to 10^18 are made divisors without factoring them
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))
+    ))
+    bound = 10**18
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from profint.cli import main; sys.exit(main())",
+         "oracle", "divisors", "--pi", "2^1;default=inf",
+         "--bound", str(bound), "--count", "300"],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    values = [int(x) for x in proc.stdout.split()]
+    assert len(set(values)) == len(values) == 300
+    assert all(1 <= n <= bound and n % 4 for n in values)
 
 
 def test_oracle_search(capsys, monkeypatch):

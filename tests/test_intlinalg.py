@@ -10,48 +10,16 @@ from profint import (
     Pseudonumber,
     Supernatural,
     eval_mod,
-    ext_gcd,
     from_integer,
     is_zero,
     omega_power,
-    parse_int_matrix,
     parse_supernatural,
     smith_normal_form,
     solve_congruences,
 )
-from profint._numutil import factorint
 from profint.intlinalg import _echelon, solve_nonsingular
-from conftest import linear_solution_exists, sample_moduli
+from conftest import factorint, linear_solution_exists, sample_moduli
 from reference_congruences import smith_normal_form_mod, solve_congruences_mod
-
-
-def brute_ext_gcd(a, b):
-    best = None
-    for s in range(-40, 41):
-        for t in range(-40, 41):
-            g = s * a + t * b
-            if g > 0 and a % g == 0 and b % g == 0:
-                best = g if best is None else min(best, g)
-    return best
-
-
-def test_ext_gcd_examples():
-    assert ext_gcd(4, 3) == (1, 1, -1)
-    assert ext_gcd(0, 0) == (0, 0, 0)
-    g, s, t = ext_gcd(12, 18)
-    assert g == brute_ext_gcd(12, 18) == 6
-    assert 12 * s + 18 * t == 6
-
-
-def test_ext_gcd_properties():
-    rng = random.Random(31)
-    for _ in range(300):
-        a, b = rng.randint(-99, 99), rng.randint(-99, 99)
-        g, s, t = ext_gcd(a, b)
-        assert g >= 0
-        assert s * a + t * b == g
-        if a or b:
-            assert a % g == 0 and b % g == 0
 
 
 def check_snf(matrix):
@@ -267,13 +235,6 @@ def test_pseudonumber_right_side():
 
 
 def test_matrix_parsing_and_validation():
-    m = parse_int_matrix("2,4;6,8")
-    assert m.entries == ((2, 4), (6, 8))
-    assert parse_int_matrix(str(m)) == m
-    with pytest.raises(InputError):
-        parse_int_matrix("2,4;6")
-    with pytest.raises(InputError):
-        parse_int_matrix("a,b")
     with pytest.raises(InputError):
         IntMatrix([])
     with pytest.raises(InputError):

@@ -1,4 +1,5 @@
 import random
+from math import prod
 
 import pytest
 
@@ -16,9 +17,8 @@ from profint import (
     parse_pseudonumber,
     parse_supernatural,
 )
-from profint._numutil import factorint
 from profint.pseudonumber import _check_signature as check_signature
-from conftest import random_pseudonumber, random_supernatural, sample_moduli
+from conftest import factorint, random_pseudonumber, random_supernatural, sample_moduli
 
 PI = parse_supernatural("3^1,5^inf;default=0")
 
@@ -220,3 +220,20 @@ def test_parse_checks_each_bracket_once(monkeypatch):
     u = parse_pseudonumber("3 + 2*[6^(w-2)] - [4^(w-1)] + 0*[3^(w-3)] + [6^(w-2)]", PI)
     assert checked == [6, 2, 3, 6]  # token order, zero coefficients included
     assert u == 3 + 3 * omega_power(PI, 6, 2) - omega_power(PI, 2, 2)
+
+
+def test_signature_check_matches_factorization():
+    rng = random.Random(14)
+    for _ in range(12):
+        pi = random_supernatural(rng)
+        for base in range(1, 501):
+            infinite = [(p, e) for p, e in factorint(base) if not pi.is_finite_at(p)]
+            if not infinite:
+                check_signature(base, pi)
+                continue
+            factor = prod(p**e for p, e in infinite)
+            with pytest.raises(SignatureError) as info:
+                check_signature(base, pi)
+            assert str(info.value) == (
+                f"base {base} has a factor {factor} of infinite exponent in {pi}"
+            )

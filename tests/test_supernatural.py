@@ -3,7 +3,7 @@ import random
 import pytest
 
 from profint import INFINITY, InputError, Supernatural, parse_supernatural
-from conftest import random_supernatural
+from conftest import factorint, random_supernatural
 
 
 def divisor_oracle(pi: Supernatural, bound: int) -> list[int]:
@@ -83,6 +83,48 @@ def test_divisor_sample_deterministic():
     assert pi.sample_divisors(10**4, 6, seed=5) == pi.sample_divisors(10**4, 6, seed=5)
 
 
+def reference_sample_divisors(pi, bound, count, seed=0):
+    """sample_divisors as it was before draws were capped by gcd: every
+    random draw is factored and each prime exponent capped by the table."""
+    picks = [pi.largest_divisor(bound)]
+    powers = []
+    pool = {p for p, e in pi.table if e >= 1}
+    if pi.default == INFINITY:
+        pool.update((2, 3, 5, 7, 11, 13, 17, 19))
+    for p in sorted(pool):
+        cap = pi.exponent_of(p)
+        v, k = p, 1
+        while v <= bound and k <= cap:
+            powers.append(v)
+            v *= p
+            k += 1
+    picks.extend(sorted(powers, reverse=True))
+    rng = random.Random(seed)
+    tries = 0
+    while len(set(picks)) < count and tries < 8 * count:
+        n = rng.randint(1, bound)
+        for p, e in factorint(n):
+            cap = pi.exponent_of(p)
+            if e > cap:
+                n //= p ** (e - cap)
+        picks.append(n)
+        tries += 1
+    picks.append(1)
+    return sorted(list(dict.fromkeys(picks))[:count])
+
+
+def test_divisor_sample_matches_factoring_reference():
+    rng = random.Random(12)
+    for _ in range(40):
+        pi = random_supernatural(rng)
+        bound = rng.choice((1, 10, 97, 1000, 10**4, 10**5))
+        for count in range(1, 13):
+            for seed in (0, 3, 17):
+                assert pi.sample_divisors(bound, count, seed=seed) == (
+                    reference_sample_divisors(pi, bound, count, seed)
+                ), (pi, bound, count, seed)
+
+
 def test_largest_divisor_brute_force():
     rng = random.Random(11)
     for _ in range(25):
@@ -107,12 +149,9 @@ def test_split_recombination():
         pi = random_supernatural(rng)
         subset = [p for p in (2, 3, 5, 7) if pi.is_finite_at(p)]
         m, rest = pi.split(subset)
-        from profint._numutil import factorint
-
-        m_exponents = dict(factorint(m)) if m > 1 else {}
-        recombined = rest.override(
-            {p: rest.exponent_of(p) + e for p, e in m_exponents.items()}
-        )
+        table = dict(rest.table)
+        table.update((p, rest.exponent_of(p) + e) for p, e in factorint(m))
+        recombined = Supernatural(table, rest.default)
         for n in range(1, 10**4 + 1):
             assert pi.divisible_by(n) == recombined.divisible_by(n)
 
