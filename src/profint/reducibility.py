@@ -2,13 +2,17 @@
 constraints: solvable across every admissible finite quotient or refuted in
 one of them, with checkable witnesses either way.
 
-Per combination of constraint branches (one per variable) the procedure
-substitutes x = base + sum_j period_j * y_j with fresh ring unknowns y_j,
-abelianizes every equation to a linear form, assembles one scalar equation
-per (equation, letter) pair, and hands the linear system to the solver.  The
-first solvable combination (lexicographic order) yields the witness; if all
-fail, each contributes one refuting quotient, and their lcm refutes the whole
-system at once.
+Every equation is abelianized once to a linear form, variable ->
+coefficient.  Per combination of constraint branches (one per variable) the
+procedure substitutes x = base + sum_j period_j * y_j with fresh ring
+unknowns y_j; each (equation, letter) pair is then one integer row of the
+solver's split form, its entries the integer periods times the coefficients
+scaled by the row's lcm(b^k), and its target the bases times them, with
+their residues mod the solver's M taken once per coefficient.  No
+pseudonumber is multiplied out for it; only the witness is built as one.
+The first solvable combination (lexicographic order) yields the witness; if
+all fail, each contributes one refuting quotient, and their lcm refutes the
+whole system at once.
 
 A witness is a certificate, checked as one: each variable's vector must be
 base + sum_j period_j * y_j of its own branch at its coefficients y_j, and
@@ -18,16 +22,18 @@ check multiplies no pseudonumbers out and decides no membership again.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, replace
 from math import lcm
 
 from .errors import InputError
-from .pseudonumber import from_integer
+from .intlinalg import IntMatrix
+from .pseudonumber import _residue, from_integer
 from .semilinear import SemilinearSet
-from .solver import SigmaMatrix, solve_system, verify_solution
+from .solver import SigmaMatrix, SplitRows, solve_system, verify_solution
 from .supernatural import Supernatural
 from .terms import SigmaTerm, abelianize, parse_term
-from .word_problem import Verdict, equal_vectors
+from .word_problem import Verdict, _scaled_sum, equal_vectors
 
 _KINDS = {str: "text", list: "a list", dict: "an object"}
 
@@ -191,20 +197,20 @@ def _try_branches(pi, system, forms, chosen):
         for x in system.variables
         for j in range(len(chosen[x].periods))
     ]
-    pairs = [(form, a) for form in forms for a in range(len(system.alphabet))]
-    rows = [[form[x] * chosen[x].periods[j][a] for x, j in unknowns] for form, a in pairs]
-    rhs = [
-        -sum((form[x] * chosen[x].base[a] for x in system.variables), from_integer(0))
-        for form, a in pairs
-    ]
-    if not unknowns or not rows:
+    width = len(system.alphabet)
+    if not unknowns or not forms:
         # nothing to solve: every right side must already vanish
+        rhs = [
+            -sum((form[x] * chosen[x].base[a] for x in system.variables), from_integer(0))
+            for form in forms
+            for a in range(width)
+        ]
         vanishes = equal_vectors(pi, rhs, [0] * len(rhs))
         if not vanishes:
             return vanishes.witness_modulus
         solution = [from_integer(0)] * len(unknowns)
     else:
-        outcome = solve_system(pi, SigmaMatrix(rows, pi), rhs)
+        outcome = solve_system(pi, _branch_rows(forms, chosen, unknowns, width))
         if not outcome:
             return outcome.modulus
         solution = list(outcome)
@@ -214,6 +220,50 @@ def _try_branches(pi, system, forms, chosen):
     }
     assignment = {x: _point(chosen[x], coefficients[x]) for x in system.variables}
     return coefficients, assignment
+
+
+def _branch_rows(forms, chosen, unknowns, width):
+    """The solver's split rows of one branch combination, built from integers.
+
+    Row (form, letter a) has the entries k * form[x], for k = period_j[a] of
+    each unknown (x, j), and the right side -sum_x b_x * form[x], for
+    b_x = base[a].  Its scale d is the lcm of base^offset over the terms that
+    survive in the row: those of form[x] for each x with a nonzero k, and the
+    merged right-side keys whose coefficient does not cancel.  With
+    s_x = _scaled_sum(form[x], d), the row is k * s_x and its target is
+    -sum_x b_x * s_x; a cancelled key adds (d // base^offset) * 0 to the
+    target whether or not base^offset divides d.  Residues mod n are
+    k * (form[x] mod n), each form[x] reduced once per n.
+    """
+    layout, scales, matrix, targets = [], [], [], []
+    for f, form in enumerate(forms):
+        for a in range(width):
+            periods = [chosen[x].periods[j][a] for x, j in unknowns]
+            bases = {x: chosen[x].base[a] for x in form if chosen[x].base[a]}
+            merged = Counter()
+            for x, b in bases.items():
+                for t in form[x].terms:
+                    merged[t.base, t.offset] += b * t.coeff
+            active = {x for (x, _), k in zip(unknowns, periods) if k}
+            d = lcm(
+                *(t.base**t.offset for x in active for t in form[x].terms),
+                *(base**offset for (base, offset), c in merged.items() if c),
+            )
+            scaled = {x: _scaled_sum(form[x], d) for x in active | bases.keys()}
+            layout.append((f, periods, bases))
+            scales.append(d)
+            matrix.append([k * scaled[x] if k else 0 for (x, _), k in zip(unknowns, periods)])
+            targets.append(-sum(b * scaled[x] for x, b in bases.items()))
+
+    def residues(n):
+        reduced = [{x: _residue(u, n) for x, u in form.items()} for form in forms]
+        return (
+            [[k * reduced[f][x] % n for (x, _), k in zip(unknowns, periods)]
+             for f, periods, _ in layout],
+            [-sum(b * reduced[f][x] for x, b in bases.items()) % n for f, _, bases in layout],
+        )
+
+    return SplitRows(scales, IntMatrix(matrix), targets, residues)
 
 
 def verify_witness(pi: Supernatural, system: EquationSystem, witness: Witness) -> Verdict:

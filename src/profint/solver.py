@@ -11,6 +11,14 @@ exponent that divide a base of some entry of B or C, or D, into a finite
 modulus M and a remainder `rest`; there every base and every d_i is a unit,
 and every prime of D has infinite exponent.
 
+Front and core.  The front reads a pseudonumber system B*X = C into split
+rows (:class:`SplitRows`): per row the scale d_i, the integer row A_i and
+target c_i, and a way to reduce the original entries and right sides mod M
+once M is known.  The core decides and solves from that data alone, as
+below.  :func:`solve_system` takes either a pseudonumber system, which goes
+through the front, or split rows built elsewhere, which go straight to the
+core; :mod:`profint.reducibility` builds its rows from integers that way.
+
 Finite side.  The residues of B and C mod M form a congruence system, solved
 one prime power p^e of M at a time (the split primes with their exponents, so
 nothing is factored) and glued by the Chinese remainder theorem.  When it has
@@ -44,6 +52,7 @@ the ambient once, not once per residue.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import gcd, lcm, prod
 
@@ -147,46 +156,86 @@ def solve_single(pi: Supernatural, u, v) -> Pseudonumber | None:
     return witness
 
 
-def solve_system(pi: Supernatural, matrix: SigmaMatrix, rhs):
+@dataclass(frozen=True)
+class SplitRows:
+    """A linear system as the solver's core reads it, one entry per row i:
+    the scale d_i = lcm(b^k) over the bases of the row and its right side,
+    the integer row A_i and target c_i, which are d_i times the row and its
+    right side wherever every base is a unit, and `residues(n)`, which gives
+    the residues mod n of the original entries and right sides (as a matrix
+    and a vector) for an n already checked against the ambient."""
+
+    scales: list[int]
+    matrix: IntMatrix
+    targets: list[int]
+    residues: Callable[[int], tuple[list[list[int]], list[int]]]
+
+
+def _split_rows(matrix: SigmaMatrix, rhs) -> SplitRows:
+    """The front: a pseudonumber system's split rows, read term by term."""
+    scales = [_scale(row + (c,)) for row, c in zip(matrix.entries, rhs)]
+
+    def residues(n):
+        return (
+            [[_residue(entry, n) for entry in row] for row in matrix.entries],
+            [_residue(c, n) for c in rhs],
+        )
+
+    return SplitRows(
+        scales,
+        IntMatrix([
+            [_scaled_sum(entry, d) for entry in row]
+            for row, d in zip(matrix.entries, scales)
+        ]),
+        [_scaled_sum(c, d) for c, d in zip(rhs, scales)],
+        residues,
+    )
+
+
+def solve_system(pi: Supernatural, matrix, rhs=None):
     """Solve matrix @ X = rhs over the completion, returning a vector of
-    sigma-expressible witnesses or a :class:`SystemRefutation`."""
+    sigma-expressible witnesses or a :class:`SystemRefutation`.
+
+    `matrix` is a :class:`SigmaMatrix` (or its rows) with the right side
+    `rhs`, or :class:`SplitRows`, which carry their own right side; those go
+    to the core as they are."""
+    if isinstance(matrix, SplitRows):
+        return _solve_split(pi, matrix)
     if not isinstance(matrix, SigmaMatrix):
         matrix = SigmaMatrix(matrix, pi)
     if matrix.pi != pi:
         raise InputError("matrix ambient differs from the requested ambient")
+    if rhs is None:
+        raise InputError("a pseudonumber matrix needs a right side")
     rhs = [_coerce(x) for x in rhs]
     if len(rhs) != matrix.rows:
         raise InputError(f"right side length {len(rhs)} does not match {matrix.shape}")
     for x in rhs:
         if x.pi is not None and x.pi != pi:
             raise InputError("right side ambient differs from the matrix ambient")
+    return _solve_split(pi, _split_rows(matrix, rhs))
 
-    # the rest side's integer system A*x = c: row i times d_i = lcm(b^k)
-    scales = [_scale(row + (c,)) for row, c in zip(matrix.entries, rhs)]
-    integer_matrix = IntMatrix([
-        [_scaled_sum(entry, d) for entry in row]
-        for row, d in zip(matrix.entries, scales)
-    ])
-    targets = [_scaled_sum(c, d) for c, d in zip(rhs, scales)]
+
+def _solve_split(pi: Supernatural, rows: SplitRows):
+    """The core: decide and solve the system of the split rows."""
+    integer_matrix, targets = rows.matrix, rows.targets
     rational = (
         solve_nonsingular(integer_matrix, targets)
-        if matrix.rows == matrix.cols else None
+        if integer_matrix.rows == integer_matrix.cols else None
     )
     # primes of the bases of exponent 0 change neither side of the split; the
     # primes of det A are split off too, so those left on the rest are infinite
     det = rational[0] if rational else 1
-    split_primes = pi.positive_finite_primes_of(lcm(*scales) * det)
+    split_primes = pi.positive_finite_primes_of(lcm(*rows.scales) * det)
     finite_modulus, rest = pi.split(split_primes)
 
     # finite side: congruence system for the original entries, solved per
     # prime power of M; a failure names the p^(v+1) where it already fails
     check_modulus(finite_modulus, pi)
+    residue_matrix, residue_rhs = rows.residues(finite_modulus)
     x1, refuted = solve_congruences(
-        IntMatrix([
-            [_residue(entry, finite_modulus) for entry in row]
-            for row in matrix.entries
-        ]),
-        [_residue(x, finite_modulus) for x in rhs],
+        IntMatrix(residue_matrix),
+        residue_rhs,
         [(p, pi.exponent_of(p)) for p in split_primes],
     )
     if x1 is None:

@@ -199,15 +199,20 @@ class Supernatural:
 
         def grow(idx, cur):
             nonlocal best
-            if cur > best:
-                best = cur
+            # cur * (bound // cur) is the largest multiple of cur within the
+            # bound: when it is no better, neither is any extension of cur
+            if cur * (bound // cur) <= best:
+                return
+            best = max(best, cur)
             for j in range(idx, len(choices)):
                 p, cap = choices[j]
-                v, k = cur * p, 1
+                powers, v, k = [], cur * p, 1
                 while v <= bound and k <= cap:
-                    grow(j + 1, v)
+                    powers.append(v)
                     v *= p
                     k += 1
+                for v in reversed(powers):  # largest exponent first
+                    grow(j + 1, v)
 
         grow(0, 1)
         return best

@@ -326,6 +326,25 @@ def test_oracle_divisors_of_large_bound_finish():
     assert all(1 <= n <= bound and n % 4 for n in values)
 
 
+def test_oracle_divisors_of_many_infinite_primes_finish():
+    # the largest divisor under a bound the ambient does not divide is found
+    # by a pruned search, not by listing every divisor below the bound
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))
+    ))
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+    pi = ",".join(f"{p}^inf" for p in primes) + ";default=0"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from profint.cli import main; sys.exit(main())",
+         "oracle", "divisors", "--pi", pi, "--bound", str(10**18 + 1), "--count", "5"],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    values = [int(x) for x in proc.stdout.split()]
+    assert values[-1] == 10**18
+
+
 def test_oracle_search(capsys, monkeypatch):
     doc = dict(REDUCE_DOC, pi="2^inf;default=0")
     code, out, _ = run_cli(

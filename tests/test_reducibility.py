@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import replace
 from math import lcm
@@ -28,7 +29,10 @@ from profint import (
     verify_witness,
 )
 from profint.oracle import MAX_MODULUS, search_quotient
-from profint.reducibility import _linear_forms, _point
+from profint.intlinalg import solve_nonsingular
+from profint.pseudonumber import check_modulus
+from profint.reducibility import _branch_rows, _linear_forms, _point
+from profint.solver import SigmaMatrix, _split_rows, solve_system
 from conftest import finite_base_pool, random_supernatural
 
 XY = ("x", "y")
@@ -402,3 +406,112 @@ def test_decide_abelianizes_each_side_once(monkeypatch):
     monkeypatch.setattr(profint.reducibility, "abelianize", counted)
     assert decide_and_witness(pi, square_system())
     assert len(calls) == 2  # lhs and rhs of the one equation
+
+
+def product_rows(pi, forms, chosen, unknowns, width):
+    """A combination's rows and right sides as pseudonumber products, the
+    form the SigmaMatrix front reads."""
+    pairs = [(form, a) for form in forms for a in range(width)]
+    rows = [[form[x] * chosen[x].periods[j][a] for x, j in unknowns] for form, a in pairs]
+    rhs = [
+        -sum((form[x] * chosen[x].base[a] for x in form), from_integer(0))
+        for form, a in pairs
+    ]
+    return SigmaMatrix(rows, pi), rhs
+
+
+def split_modulus(pi, rows):
+    """The finite modulus M the solver's core splits these rows at."""
+    matrix = rows.matrix
+    rational = solve_nonsingular(matrix, rows.targets) if matrix.rows == matrix.cols else None
+    det = rational[0] if rational else 1
+    return pi.split(pi.positive_finite_primes_of(lcm(*rows.scales) * det))[0]
+
+
+def assert_rows_match_front(pi, system):
+    """Every combination's integer rows equal the front's rows of the
+    pseudonumber products; returns how many combinations were compared."""
+    forms = _linear_forms(pi, system)
+    width = len(system.alphabet)
+    compared = 0
+    for combo in itertools.product(
+        *(system.constraints[x].branches for x in system.variables)
+    ):
+        chosen = dict(zip(system.variables, combo))
+        unknowns = [(x, j) for x in system.variables for j in range(len(chosen[x].periods))]
+        if not unknowns or not forms:
+            continue  # this combination never reaches the solver
+        direct = _branch_rows(forms, chosen, unknowns, width)
+        front = _split_rows(*product_rows(pi, forms, chosen, unknowns, width))
+        assert direct.scales == front.scales
+        assert direct.matrix == front.matrix
+        assert direct.targets == front.targets
+        m = split_modulus(pi, front)
+        for n in {m, *pi.sample_divisors(10**4, 3)}:
+            check_modulus(n, pi)
+            assert direct.residues(n) == front.residues(n)
+        compared += 1
+    return compared
+
+
+def test_branch_rows_match_the_pseudonumber_front():
+    rng = random.Random(1717)
+    compared = 0
+    for _ in range(120):
+        pi = random_supernatural(rng)
+        compared += assert_rows_match_front(pi, random_system(rng, pi))
+    assert compared > 200
+
+
+def test_branch_rows_scale_skips_cancelled_keys():
+    # b's right side cancels the [2^(w-1)] of y and z, while x keeps the
+    # integer entry 1: the row's scale is 1, not 2
+    pi = parse_supernatural("2^1,3^inf;default=0")
+    variables = ("x", "y", "z")
+    system = EquationSystem(
+        ("a", "b"),
+        variables,
+        ((parse_term("x*(y)^(2^(w-1))", variables), parse_term("x*x*(z)^(2^(w-1))", variables)),),
+        {
+            "x": parse_semilinear("(1,0)+(1,0)N", ["a", "b"]),
+            "y": parse_semilinear("(1,0)+(0,1)N", ["a", "b"]),
+            "z": parse_semilinear("(1,0)+(0,1)N", ["a", "b"]),
+        },
+    )
+    assert assert_rows_match_front(pi, system) == 1
+    witness = decide_and_witness(pi, system)
+    assert [str(c) for c in witness.coefficients["x"]] == ["1 - 4*[2^(w-1)]"]
+    assert [str(v) for v in witness.assignment["x"]] == ["2 - 4*[2^(w-1)]", "0"]
+
+
+def test_each_solved_combination_calls_solve_system_once(monkeypatch):
+    # the benchmark's tracer counts branch combinations by wrapping this name
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_system(*args, **kwargs)
+
+    monkeypatch.setattr(profint.reducibility, "solve_system", counted)
+    rng = random.Random(4242)
+    reached = 0
+    for trial in range(90):
+        pi = random_ambient(rng, AMBIENT_KINDS[trial % 3])
+        system = random_system(rng, pi)
+        calls.clear()
+        outcome = decide_and_witness(pi, system)
+        combos = list(itertools.product(
+            *(range(len(system.constraints[x].branches)) for x in system.variables)
+        ))
+        if outcome:
+            combos = combos[: combos.index(tuple(outcome.branches[x] for x in system.variables)) + 1]
+        expected = sum(
+            any(
+                system.constraints[x].branches[i].periods
+                for x, i in zip(system.variables, combo)
+            )
+            for combo in combos
+        )
+        assert len(calls) == expected
+        reached += expected
+    assert reached > 100

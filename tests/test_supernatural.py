@@ -133,6 +133,40 @@ def test_largest_divisor_brute_force():
         assert pi.largest_divisor(bound) == max(divisor_oracle(pi, bound))
 
 
+def enumerated_largest_divisor(pi: Supernatural, bound: int) -> int:
+    """The largest divisor of pi up to bound >= 1, for pi of default 0, by
+    listing every divisor over the stored primes (the unpruned search)."""
+    choices = [(p, e) for p, e in pi.table if e >= 1]
+    best = 1
+
+    def grow(idx, cur):
+        nonlocal best
+        if cur > best:
+            best = cur
+        for j in range(idx, len(choices)):
+            p, cap = choices[j]
+            v, k = cur * p, 1
+            while v <= bound and k <= cap:
+                grow(j + 1, v)
+                v *= p
+                k += 1
+
+    grow(0, 1)
+    return best
+
+
+def test_largest_divisor_pruned_search_matches_enumeration():
+    rng = random.Random(17)
+    checked = 0
+    while checked < 200:
+        pi = random_supernatural(rng, max_exp=rng.choice((4, 12)))
+        if pi.default == INFINITY:
+            continue
+        bound = rng.randint(1, 10**6)
+        assert pi.largest_divisor(bound) == enumerated_largest_divisor(pi, bound)
+        checked += 1
+
+
 def test_gcd_divides_and_is_divisor():
     rng = random.Random(3)
     for _ in range(4):
