@@ -4,10 +4,11 @@ unimodular witnesses, and congruence systems solved one prime power at a
 time.
 
 Matrices hold arbitrary-precision integers and are immutable after
-construction.  Bareiss elimination keeps every intermediate entry a minor of
-the input, so the integers of a nonsingular system A*x = c stay the size of
-the minors of [A | c]; its solution comes back as integers n with
-x = n / det(A).
+construction; an entry or right side that is not an integer (a float, text)
+is an InputError, never truncated or parsed.  Bareiss elimination keeps
+every intermediate entry a minor of the input, so the integers of a
+nonsingular system A*x = c stay the size of the minors of [A | c]; its
+solution comes back as integers n with x = n / det(A).
 The Smith reduction over Z pivots on the smallest nonzero absolute value
 (ties broken lexicographically), so the witnesses L and R are reproducible
 across runs; they can grow far past the input.
@@ -22,10 +23,20 @@ is factored.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import gcd
 
 from .errors import InputError
+
+
+def _integers(values) -> tuple[int, ...]:
+    """The values as a tuple of ints; a value that is not an integer (a
+    float, text, None) is an InputError, not truncated or parsed."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise InputError(f"expected integers, got {values!r}") from None
 
 
 class IntMatrix:
@@ -34,7 +45,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows_of_entries):
-        entries = tuple(tuple(int(x) for x in row) for row in rows_of_entries)
+        entries = tuple(_integers(row) for row in rows_of_entries)
         if not entries or not entries[0]:
             raise InputError("matrix dimensions must be positive")
         cols = len(entries[0])
@@ -145,7 +156,7 @@ def solve_nonsingular(matrix: IntMatrix, rhs) -> tuple[int, list[int]] | None:
     n = matrix.rows
     if matrix.cols != n:
         raise InputError(f"a nonsingular solve needs a square matrix, got {matrix.shape}")
-    rhs = [int(x) for x in rhs]
+    rhs = _integers(rhs)
     if len(rhs) != n:
         raise InputError(f"right side length {len(rhs)} does not match {matrix.shape}")
     m = [list(row) + [c] for row, c in zip(matrix.entries, rhs)]
@@ -307,7 +318,7 @@ def solve_congruences(matrix: IntMatrix, rhs, prime_powers):
     substitution sets the free variables to 0, and the solutions mod each
     p^e are glued by the Chinese remainder theorem.
     """
-    rhs = [int(x) for x in rhs]
+    rhs = _integers(rhs)
     if len(rhs) != matrix.rows:
         raise InputError(f"right side length {len(rhs)} does not match {matrix.shape}")
     cols = matrix.cols

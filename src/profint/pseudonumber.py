@@ -221,6 +221,32 @@ def from_integer(a: int) -> Pseudonumber:
     return Pseudonumber(a)
 
 
+def integer_combination(const: int, pairs) -> Pseudonumber:
+    """``const + sum k*u`` over the (k, u) pairs, with integers k and
+    pseudonumbers or plain integers u, built in one construction.
+
+    Its normal form is the one the ring operations reach: k*u scales the
+    constant and every coefficient of u, and a sum merges the (base, offset)
+    keys.  A pair with k = 0 contributes nothing, not even its ambient; the
+    others must share one.  Every base comes from a value already checked
+    over that ambient, so none is checked again.
+    """
+    pi, triples = None, []
+    for k, u in pairs:
+        if not k:
+            continue
+        if isinstance(u, int):
+            const += k * u
+            continue
+        if not isinstance(u, Pseudonumber):
+            raise InputError(f"expected a pseudonumber or integer, got {u!r}")
+        const += k * u.const
+        if u.terms:
+            pi = _merge_ambient(pi, u.pi)
+            triples.extend((t.base, t.offset, k * t.coeff) for t in u.terms)
+    return Pseudonumber(const, triples, pi, _checked=True)
+
+
 def _check_exponents(base: int, offset: int):
     if base < 1 or offset < 1:
         raise InputError(f"need base >= 1 and offset >= 1, got ({base}, {offset})")

@@ -9,7 +9,8 @@ unknowns y_j; each (equation, letter) pair is then one integer row of the
 solver's split form, its entries the integer periods times the coefficients
 scaled by the row's lcm(b^k), and its target the bases times them, with
 their residues mod the solver's M taken once per coefficient.  No
-pseudonumber is multiplied out for it; only the witness is built as one.
+pseudonumber is multiplied out for it; only the witness is built as one,
+each letter of each point in one construction.
 The first solvable combination (lexicographic order) yields the witness; if
 all fail, each contributes one refuting quotient, and their lcm refutes the
 whole system at once.
@@ -22,13 +23,12 @@ check multiplies no pseudonumbers out and decides no membership again.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, replace
 from math import lcm
 
 from .errors import InputError
 from .intlinalg import IntMatrix
-from .pseudonumber import _residue, from_integer
+from .pseudonumber import _residue, from_integer, integer_combination
 from .semilinear import SemilinearSet
 from .solver import SigmaMatrix, SplitRows, solve_system, verify_solution
 from .supernatural import Supernatural
@@ -148,7 +148,9 @@ def _linear_forms(pi, system):
     for lhs, rhs in system.equations:
         left = abelianize(pi, lhs, system.variables)
         right = abelianize(pi, rhs, system.variables)
-        forms.append({x: left[x] - right[x] for x in system.variables})
+        forms.append(
+            {x: integer_combination(0, ((1, left[x]), (-1, right[x]))) for x in system.variables}
+        )
     return forms
 
 
@@ -179,11 +181,11 @@ def decide_and_witness(pi: Supernatural, system: EquationSystem):
 
 
 def _point(branch, coefficients):
-    """base + sum_j c_j * period_j of a branch, letter by letter."""
+    """base + sum_j c_j * period_j of a branch, letter by letter, each letter
+    built in one construction."""
     return tuple(
-        sum(
-            (c * period[a] for c, period in zip(coefficients, branch.periods)),
-            from_integer(branch.base[a]),
+        integer_combination(
+            branch.base[a], ((period[a], c) for c, period in zip(coefficients, branch.periods))
         )
         for a in range(branch.width)
     )
@@ -201,7 +203,7 @@ def _try_branches(pi, system, forms, chosen):
     if not unknowns or not forms:
         # nothing to solve: every right side must already vanish
         rhs = [
-            -sum((form[x] * chosen[x].base[a] for x in system.variables), from_integer(0))
+            integer_combination(0, ((-chosen[x].base[a], form[x]) for x in system.variables))
             for form in forms
             for a in range(width)
         ]
@@ -240,10 +242,11 @@ def _branch_rows(forms, chosen, unknowns, width):
         for a in range(width):
             periods = [chosen[x].periods[j][a] for x, j in unknowns]
             bases = {x: chosen[x].base[a] for x in form if chosen[x].base[a]}
-            merged = Counter()
+            merged = {}
             for x, b in bases.items():
                 for t in form[x].terms:
-                    merged[t.base, t.offset] += b * t.coeff
+                    key = t.base, t.offset
+                    merged[key] = merged.get(key, 0) + b * t.coeff
             active = {x for (x, _), k in zip(unknowns, periods) if k}
             d = lcm(
                 *(t.base**t.offset for x in active for t in form[x].terms),

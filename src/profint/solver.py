@@ -32,15 +32,18 @@ Otherwise g refutes, since adj(A)*A = det(A)*I makes n = adj(A)*c vanish
 mod g for any solution.
 
 Rest side, any other A.  With the Smith form L*A*R = D over Z and t = L*c,
-each diagonal equation D_ii * z_i = t_i is decided by the gcd test: a zero
-D_ii needs t_i = 0 on the rest, and otherwise g = gcd(D_ii, rest) must divide
-t_i, giving ``z_i = (t_i/g) * [(D_ii/g)^(w-1)]`` and y = R*z.  A failing
-equation names a finite divisor of the rest where the system already fails.
+each diagonal equation D_ii * z_i = t_i is decided by the gcd test, on
+integers and in order: a zero D_ii needs t_i = 0 on the rest, and otherwise
+g = gcd(D_ii, rest) must divide t_i.  The first failing equation names a
+finite divisor of the rest where the system already fails, and nothing is
+built.  Once all of them hold, ``z_i = (t_i/g) * [(D_ii/g)^(w-1)]`` and each
+component of y = R*z is built in one construction.
 
 Glue.  With x1 the congruence solution and G the product of the split primes,
 the idempotent G^w is 0 on M and 1 on the rest, so the witness is
-``x1 + G^w * (y - x1)``; when the rest is trivial, x1 alone is.  A single
-equation u*x = v is the 1x1 system.
+``x1 + G^w * (y - x1)``, built as ``x1 + G^w*y - x1*G^w`` in one
+construction per component; when the rest is trivial, x1 alone is.  A
+single equation u*x = v is the 1x1 system.
 
 Verify.  A witness x is checked on one split, row by row, without
 multiplying pseudonumbers out.  With e = lcm(b^k) over x, the ambient splits
@@ -63,6 +66,7 @@ from .pseudonumber import (
     _residue,
     check_modulus,
     from_integer,
+    integer_combination,
     omega_closure,
     omega_power,
 )
@@ -250,7 +254,7 @@ def _solve_split(pi: Supernatural, rows: SplitRows):
     if isinstance(y, SystemRefutation):
         return y
     glue = omega_closure(pi, prod(split_primes))
-    return [from_integer(a) + glue * (b - from_integer(a)) for a, b in zip(x1, y)]
+    return [integer_combination(a, ((1, glue * b), (-a, glue))) for a, b in zip(x1, y)]
 
 
 def _rest_rational(pi, rest, det, numerators):
@@ -279,10 +283,12 @@ def _rest_rational(pi, rest, det, numerators):
 def _rest_smith(pi, rest, integer_matrix, targets):
     """The rest side of a singular or non-square system: with L*A*R = D and
     t = L*c, each diagonal equation D_ii * z_i = t_i is decided by the gcd
-    test, and y = R*z."""
+    test on integers, in order.  Only once all of them hold is
+    z_i = (t_i/g) * [(D_ii/g)^(w-1)] built, its bracket once, and each
+    y_j = sum_i R_ji * z_i made in one construction."""
     snf = smith_normal_form(integer_matrix)
     diagonal = snf.diagonal()
-    z = [from_integer(0)] * integer_matrix.cols
+    quotients = []
     for i, t in enumerate(snf.left.mul_vec(targets)):
         d = diagonal[i] if i < len(diagonal) else 0
         if d == 0:
@@ -294,8 +300,12 @@ def _rest_smith(pi, rest, integer_matrix, targets):
         g = rest.gcd(d)
         if t % g:
             return SystemRefutation(g, "diagonal equation unsolvable")
-        z[i] = (t // g) * omega_power(pi, d // g, 1)
-    return snf.right.mul_vec(z)
+        quotients.append((i, t // g, d // g))
+    brackets = [(i, a, omega_power(pi, h, 1)) for i, a, h in quotients]
+    return [
+        integer_combination(0, ((row[i] * a, bracket) for i, a, bracket in brackets))
+        for row in snf.right.entries
+    ]
 
 
 def _residues(pi, values, n):

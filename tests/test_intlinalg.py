@@ -322,3 +322,26 @@ def test_solve_nonsingular():
         solve_nonsingular(IntMatrix([[1, 2]]), [1])
     with pytest.raises(InputError):
         solve_nonsingular(IntMatrix([[1]]), [1, 2])
+
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: IntMatrix([[1.5, 2.0]]),  # not truncated to 1,2
+        lambda: IntMatrix([["7"]]),  # not parsed as 7
+        lambda: IntMatrix([[None]]),  # not a TypeError
+        lambda: solve_nonsingular(IntMatrix([[2]]), [3.9]),  # not truncated to (2, [3])
+        lambda: solve_congruences(IntMatrix([[1]]), [1.5], [(2, 1)]),  # not truncated to ([1], None)
+    ],
+    ids=["float-entries", "text-entry", "none-entry", "float-rhs-nonsingular",
+         "float-rhs-congruences"],
+)
+def test_non_integer_entries_are_rejected(build):
+    with pytest.raises(InputError):
+        build()
+
+
+def test_integer_like_entries_read_as_integers():
+    assert IntMatrix([[True, 0]]) == IntMatrix([[1, 0]])
+    assert solve_nonsingular(IntMatrix([[2]]), (4,)) == (2, [4])

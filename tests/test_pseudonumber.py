@@ -17,7 +17,7 @@ from profint import (
     parse_pseudonumber,
     parse_supernatural,
 )
-from profint.pseudonumber import _check_signature as check_signature
+from profint.pseudonumber import _check_signature as check_signature, integer_combination
 from conftest import factorint, random_pseudonumber, random_supernatural, sample_moduli
 
 PI = parse_supernatural("3^1,5^inf;default=0")
@@ -237,3 +237,46 @@ def test_signature_check_matches_factorization():
             assert str(info.value) == (
                 f"base {base} has a factor {factor} of infinite exponent in {pi}"
             )
+
+
+def ring_combination(const, pairs):
+    """const + sum k*u by ring operations, one at a time."""
+    return sum((k * u for k, u in pairs), from_integer(const))
+
+
+def test_integer_combination_matches_ring_operations():
+    rng = random.Random(1818)
+    cancelled = 0
+    for _ in range(300):
+        pi = random_supernatural(rng)
+        values = [random_pseudonumber(rng, pi) for _ in range(rng.randint(1, 4))]
+        pairs = [(rng.randint(-3, 3), rng.choice(values)) for _ in range(rng.randint(0, 5))]
+        if pairs and rng.random() < 0.3:
+            k, u = rng.choice(pairs)
+            pairs.append((-k, u))  # cancels that pair's terms
+        if rng.random() < 0.3:
+            pairs.append((rng.randint(-3, 3), rng.randint(-9, 9)))  # a plain-int u
+        const = rng.randint(-20, 20)
+        combined = integer_combination(const, pairs)
+        expected = ring_combination(const, pairs)
+        assert isinstance(combined, Pseudonumber)
+        assert combined == expected and str(combined) == str(expected)
+        assert combined.pi == expected.pi
+        cancelled += not combined.terms and any(k and u.terms for k, u in pairs
+                                                if isinstance(u, Pseudonumber))
+    assert cancelled > 10
+
+
+def test_integer_combination_edge_cases():
+    u = 2 + omega_power(PI, 2, 1) - 3 * omega_power(PI, 6, 2)
+    assert integer_combination(3, ((2, 5), (0, u))) == 13
+    assert integer_combination(0, ()) == from_integer(0)
+    cancelled = integer_combination(7, ((2, u), (-2, u)))
+    assert cancelled == 7 and cancelled.terms == () and cancelled.pi is None
+    other = parse_supernatural("2^1,3^inf;default=0")
+    with pytest.raises(InputError):
+        integer_combination(0, ((1, u), (1, omega_power(other, 2, 1))))
+    # a zero multiplier contributes nothing, its ambient included
+    assert integer_combination(0, ((1, u), (0, omega_power(other, 2, 1)))) == u
+    with pytest.raises(InputError):
+        integer_combination(0, ((1, "3"),))

@@ -33,7 +33,7 @@ from profint.intlinalg import solve_nonsingular
 from profint.pseudonumber import check_modulus
 from profint.reducibility import _branch_rows, _linear_forms, _point
 from profint.solver import SigmaMatrix, _split_rows, solve_system
-from conftest import finite_base_pool, random_supernatural
+from conftest import finite_base_pool, random_pseudonumber, random_supernatural
 
 XY = ("x", "y")
 
@@ -515,3 +515,63 @@ def test_each_solved_combination_calls_solve_system_once(monkeypatch):
         assert len(calls) == expected
         reached += expected
     assert reached > 100
+
+
+def test_point_matches_the_ring_operations():
+    # _point builds each letter in one construction; the reference sums
+    # c * period[a] onto the base one ring operation at a time
+    rng = random.Random(1832)
+    for round_ in range(300):
+        pi = random_ambient(rng, AMBIENT_KINDS[round_ % 3])
+        width = rng.randint(1, 3)
+        branch = parse_semilinear(random_branch_text(rng, width), "abc"[:width]).branches[0]
+        coefficients = [
+            random_pseudonumber(rng, pi, max_terms=2, base_limit=14) if rng.random() < 0.7
+            else rng.randint(-5, 5)
+            for _ in branch.periods
+        ]
+        expected = tuple(
+            sum(
+                (c * period[a] for c, period in zip(coefficients, branch.periods)),
+                from_integer(branch.base[a]),
+            )
+            for a in range(branch.width)
+        )
+        point = _point(branch, coefficients)
+        assert point == expected and [str(v) for v in point] == [str(v) for v in expected]
+        assert [v.pi for v in point] == [v.pi for v in expected]
+
+
+def test_linear_forms_match_the_ring_operations():
+    rng = random.Random(1833)
+    for round_ in range(120):
+        pi = random_ambient(rng, AMBIENT_KINDS[round_ % 3])
+        system = random_system(rng, pi)
+        for form, (lhs, rhs) in zip(_linear_forms(pi, system), system.equations):
+            left = abelianize(pi, lhs, system.variables)
+            right = abelianize(pi, rhs, system.variables)
+            for x in system.variables:
+                expected = left[x] - right[x]
+                assert form[x] == expected and str(form[x]) == str(expected)
+
+
+def test_verify_witness_accepts_plain_int_coefficients():
+    pi = parse_supernatural("2^2,3^inf;default=0")
+    system = EquationSystem(
+        ("a", "b"),
+        XY,
+        ((parse_term("x", XY), parse_term("y*y", XY)),),
+        {
+            "x": parse_semilinear("(0,0)+(2,0)N+(0,2)N", ["a", "b"]),
+            "y": parse_semilinear("(0,0)+(1,0)N+(0,1)N", ["a", "b"]),
+        },
+    )
+    witness = Witness(
+        assignment={"x": (from_integer(6), from_integer(2)), "y": (from_integer(3), from_integer(1))},
+        branches={"x": 0, "y": 0},
+        coefficients={"x": (3, 1), "y": (3, 1)},
+    )
+    assert verify_witness(pi, system, witness)
+    moved = replace(witness, coefficients={**witness.coefficients, "y": (3, 2)})
+    verdict = verify_witness(pi, system, moved)
+    assert not verdict and verdict.component == ("y", "b")

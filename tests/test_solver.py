@@ -27,6 +27,7 @@ from profint import (
 )
 from profint import solver as solver_module
 from profint._numutil import valuation
+from profint.intlinalg import solve_congruences, solve_nonsingular
 from profint.solver import SystemRefutation, solve_single_with_refutation
 from profint.word_problem import _scale, _scaled_sum, refuting_modulus
 from conftest import (
@@ -764,3 +765,133 @@ def test_each_modulus_checked_once(monkeypatch):
     del checked[:]
     assert verify_solution(pi, matrix, rhs, outcome)
     assert len(checked) == len(set(checked))  # once per distinct split
+
+
+# -- the rest side decides on integers, then builds each component once -------
+
+
+def count_builders(monkeypatch):
+    """Calls of the two builders of the rest side and the glue, by name."""
+    calls = {"omega_power": 0, "integer_combination": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(solver_module, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(solver_module, name, counted)
+    return calls
+
+
+def test_rest_smith_builds_nothing_before_every_diagonal_holds(monkeypatch):
+    calls = count_builders(monkeypatch)
+    pi = parse_supernatural("2^inf,3^inf;default=0")  # M = 1, the rest is pi
+    # L*A*R = diag(1, 2) with L = R = I, so t = c: z_0 = 5 passes first
+    matrix = SigmaMatrix([[1, 0], [0, 2], [0, 0]], pi)
+    for rhs, reason, modulus in (
+        ([5, 1, 0], "diagonal equation unsolvable", 2),  # then 2*z_1 = 1 fails
+        ([5, 2, 3], "zero row with nonzero right side", 2),  # both pass, 0 = 3 fails
+    ):
+        refuted = solve_system(pi, matrix, rhs)
+        assert not refuted and (refuted.reason, refuted.modulus) == (reason, modulus)
+        assert calls == {"omega_power": 0, "integer_combination": 0}
+    solved = solve_system(pi, matrix, [5, 4, 0])
+    assert [str(x) for x in solved] == ["5", "2"]
+    # one bracket per nonzero diagonal, one construction per component in
+    # _rest_smith and one more in the glue
+    assert calls == {"omega_power": 2, "integer_combination": 4}
+
+    rng = random.Random(1830)
+    refuted = 0
+    for round_ in range(300):
+        pi = ambient_of_kind(rng, ("finite", "default 0", "default inf")[round_ % 3])
+        rows, cols = rng.sample(range(1, 5), 2)  # never square: always Smith
+        matrix = SigmaMatrix(
+            [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)], pi
+        )
+        for name in calls:
+            calls[name] = 0
+        outcome = solve_system(pi, matrix, [rng.randint(-20, 20) for _ in range(rows)])
+        if not outcome and outcome.reason != "congruence system unsolvable":
+            refuted += 1
+            assert calls == {"omega_power": 0, "integer_combination": 0}
+    assert refuted > 30
+
+
+def reference_rest_smith(pi, rest, integer_matrix, targets):
+    """_rest_smith by ring operations: each z_i built as its diagonal
+    passes, then y = R*z multiplied out one ring operation at a time."""
+    snf = smith_normal_form(integer_matrix)
+    diagonal = snf.diagonal()
+    z = [from_integer(0)] * integer_matrix.cols
+    for i, t in enumerate(snf.left.mul_vec(targets)):
+        d = diagonal[i] if i < len(diagonal) else 0
+        if d == 0:
+            if not rest.congruent(t, 0):
+                return SystemRefutation(
+                    refuting_modulus(rest, t), "zero row with nonzero right side"
+                )
+            continue
+        g = rest.gcd(d)
+        if t % g:
+            return SystemRefutation(g, "diagonal equation unsolvable")
+        z[i] = (t // g) * omega_power(pi, d // g, 1)
+    return snf.right.mul_vec(z)
+
+
+def reference_solve_split(pi, rows):
+    """The solver's core with reference_rest_smith and the glue
+    x1 + G^w * (y - x1) by ring operations."""
+    rational = (
+        solve_nonsingular(rows.matrix, rows.targets)
+        if rows.matrix.rows == rows.matrix.cols else None
+    )
+    det = rational[0] if rational else 1
+    split_primes = pi.positive_finite_primes_of(lcm(*rows.scales) * det)
+    finite_modulus, rest = pi.split(split_primes)
+    residue_matrix, residue_rhs = rows.residues(finite_modulus)
+    x1, refuted = solve_congruences(
+        IntMatrix(residue_matrix), residue_rhs, [(p, pi.exponent_of(p)) for p in split_primes]
+    )
+    if x1 is None:
+        return SystemRefutation(refuted, "congruence system unsolvable")
+    if rest.is_finite() and rest.as_integer() == 1:
+        return [from_integer(a) for a in x1]
+    if rational:
+        y = solver_module._rest_rational(pi, rest, *rational)
+    else:
+        y = reference_rest_smith(pi, rest, rows.matrix, rows.targets)
+    if isinstance(y, SystemRefutation):
+        return y
+    glue = omega_closure(pi, prod(split_primes))
+    return [from_integer(a) + glue * (b - from_integer(a)) for a, b in zip(x1, y)]
+
+
+def test_rest_side_and_glue_match_the_ring_operations():
+    rng = random.Random(1831)
+    seen = {"smith": 0, "rational": 0, "refuted": 0}
+    for round_ in range(400):
+        pi = ambient_of_kind(rng, ("finite", "default 0", "default inf")[round_ % 3])
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+
+        def entry():
+            if rng.random() < 0.5:
+                return random_pseudonumber(rng, pi, max_terms=2, base_limit=14,
+                                           coeff_limit=9, offset_limit=2)
+            return from_integer(rng.randint(-9, 9))
+
+        matrix = SigmaMatrix([[entry() for _ in range(cols)] for _ in range(rows)], pi)
+        if rng.random() < 0.5:
+            rhs = matrix.mul_vec([entry() for _ in range(cols)])
+        else:
+            rhs = [entry() for _ in range(rows)]
+        split = solver_module._split_rows(matrix, rhs)
+        outcome = solve_system(pi, split)
+        expected = reference_solve_split(pi, split)
+        if not expected:
+            assert outcome == expected
+            seen["refuted"] += 1
+            continue
+        assert outcome == expected and [str(x) for x in outcome] == [str(x) for x in expected]
+        assert [x.pi for x in outcome] == [x.pi for x in expected]
+        seen["rational" if rows == cols and split.matrix.determinant() else "smith"] += 1
+    assert min(seen.values()) > 40, seen
