@@ -3,7 +3,12 @@ constraints: solvable across every admissible finite quotient or refuted in
 one of them, with checkable witnesses either way.
 
 Every equation is abelianized once to a linear form, variable ->
-coefficient.  Per combination of constraint branches (one per variable) the
+coefficient.  Two variables are linked when one form has a nonzero
+coefficient on both, and each connected component is decided alone with its
+own forms: every constraint belongs to one variable, so the system is
+solvable exactly when every component is.  A form with no nonzero
+coefficient goes with the first component that has a nonzero one.
+Per combination of a component's constraint branches (one per variable) the
 procedure substitutes x = base + sum_j period_j * y_j with fresh ring
 unknowns y_j; each (equation, letter) pair is then one integer row of the
 solver's split form, its entries the integer periods times the coefficients
@@ -11,9 +16,12 @@ scaled by the row's lcm(b^k), and its target the bases times them, with
 their residues mod the solver's M taken once per coefficient.  No
 pseudonumber is multiplied out for it; only the witness is built as one,
 each letter of each point in one construction.
-The first solvable combination (lexicographic order) yields the witness; if
-all fail, each contributes one refuting quotient, and their lcm refutes the
-whole system at once.
+The first solvable combination of each component (lexicographic order)
+gives that component's part of the witness, and the parts together are the
+lexicographically first solvable combination of the whole product.  The
+first component with no solvable combination refutes every combination of
+the product: each is listed with the refuting quotient of its own
+sub-combination there, and their lcm refutes the whole system at once.
 
 A witness is a certificate, checked as one: each variable's vector must be
 base + sum_j period_j * y_j of its own branch at its coefficients y_j, and
@@ -154,30 +162,72 @@ def _linear_forms(pi, system):
     return forms
 
 
+def _components(variables, forms):
+    """(variables, forms) of each connected component, in the order of their
+    first variables, the forms restricted to the component's variables and
+    kept in system order.  A form with no nonzero coefficient goes with the
+    first component that some form has a nonzero coefficient in (the first
+    component when there is none), so a variable with a zero coefficient in
+    every form is solved for only when every coefficient is zero."""
+    label = {x: i for i, x in enumerate(variables)}
+    for form in forms:
+        linked = {label[x] for x in variables if form[x]}
+        if len(linked) > 1:
+            keep = min(linked)
+            label = {x: keep if i in linked else i for x, i in label.items()}
+    groups = {}
+    for x in variables:
+        groups.setdefault(label[x], []).append(x)
+    parts = {i: [] for i in groups}
+    home = min((label[x] for form in forms for x in variables if form[x]), default=0)
+    for form in forms:
+        i = next((label[x] for x in variables if form[x]), home)
+        parts[i].append({x: form[x] for x in groups[i]})
+    return [(groups[i], parts[i]) for i in groups]
+
+
+def _branch_ranges(system, variables):
+    """The range of branch indices of each variable's constraint."""
+    return [range(len(system.constraints[x].branches)) for x in variables]
+
+
 def decide_and_witness(pi: Supernatural, system: EquationSystem):
     """A verified :class:`Witness`, or a :class:`Refutation` listing one
     finite quotient per branch combination (falsy)."""
     forms = _linear_forms(pi, system)
-    branch_lists = [
-        range(len(system.constraints[x].branches)) for x in system.variables
-    ]
-    failures = []
-    for combo in itertools.product(*branch_lists):
-        indices = dict(zip(system.variables, combo))
-        chosen = {x: system.constraints[x].branches[i] for x, i in indices.items()}
-        outcome = _try_branches(pi, system, forms, chosen)
-        if isinstance(outcome, int):
-            failures.append((combo, outcome))
-            continue
-        coefficients, assignment = outcome
-        witness = Witness(assignment=assignment, branches=indices, coefficients=coefficients)
-        check = _verify_witness(pi, system, witness, forms)
-        if not check:
-            raise AssertionError(
-                f"internal error: produced witness fails at modulus {check.witness_modulus}"
-            )
-        return witness
-    return Refutation(tuple(failures))
+    if not all(system.constraints[x].branches for x in system.variables):
+        return Refutation(())  # an empty constraint leaves no combination
+    width = len(system.alphabet)
+    branches, coefficients, assignment = {}, {}, {}
+    for variables, component_forms in _components(system.variables, forms):
+        failures = {}
+        for combo in itertools.product(*_branch_ranges(system, variables)):
+            chosen = {x: system.constraints[x].branches[i] for x, i in zip(variables, combo)}
+            outcome = _try_branches(pi, variables, component_forms, chosen, width)
+            if isinstance(outcome, int):
+                failures[combo] = outcome
+                continue
+            branches.update(zip(variables, combo))
+            coefficients.update(outcome[0])
+            assignment.update(outcome[1])
+            break
+        else:
+            at = [system.variables.index(x) for x in variables]
+            return Refutation(tuple(
+                (combo, failures[tuple(combo[i] for i in at)])
+                for combo in itertools.product(*_branch_ranges(system, system.variables))
+            ))
+    witness = Witness(
+        assignment={x: assignment[x] for x in system.variables},
+        branches={x: branches[x] for x in system.variables},
+        coefficients={x: coefficients[x] for x in system.variables},
+    )
+    check = _verify_witness(pi, system, witness, forms)
+    if not check:
+        raise AssertionError(
+            f"internal error: produced witness fails at modulus {check.witness_modulus}"
+        )
+    return witness
 
 
 def _point(branch, coefficients):
@@ -191,19 +241,15 @@ def _point(branch, coefficients):
     )
 
 
-def _try_branches(pi, system, forms, chosen):
-    """Solve one branch combination.  Returns (coefficients, assignment) on
-    success or a refuting modulus (int) on failure."""
-    unknowns = [
-        (x, j)
-        for x in system.variables
-        for j in range(len(chosen[x].periods))
-    ]
-    width = len(system.alphabet)
+def _try_branches(pi, variables, forms, chosen, width):
+    """Solve one branch combination of the variables (a component) under
+    their forms.  Returns (coefficients, assignment) on success or a
+    refuting modulus (int) on failure."""
+    unknowns = [(x, j) for x in variables for j in range(len(chosen[x].periods))]
     if not unknowns or not forms:
         # nothing to solve: every right side must already vanish
         rhs = [
-            integer_combination(0, ((-chosen[x].base[a], form[x]) for x in system.variables))
+            integer_combination(0, ((-chosen[x].base[a], form[x]) for x in variables))
             for form in forms
             for a in range(width)
         ]
@@ -218,9 +264,9 @@ def _try_branches(pi, system, forms, chosen):
         solution = list(outcome)
     remaining = iter(solution)
     coefficients = {
-        x: tuple(itertools.islice(remaining, len(chosen[x].periods))) for x in system.variables
+        x: tuple(itertools.islice(remaining, len(chosen[x].periods))) for x in variables
     }
-    assignment = {x: _point(chosen[x], coefficients[x]) for x in system.variables}
+    assignment = {x: _point(chosen[x], coefficients[x]) for x in variables}
     return coefficients, assignment
 
 

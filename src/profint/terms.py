@@ -198,13 +198,14 @@ def abelianize(pi: Supernatural, term: SigmaTerm, variables) -> dict[str, Pseudo
     if unknown:
         raise InputError(f"term uses undeclared variables: {sorted(unknown)}")
 
-    def walk(node) -> dict[str, Pseudonumber]:
+    def walk(node) -> dict[str, int | Pseudonumber]:
+        # plain ints until a p^(w-1) power needs its bracket
         if isinstance(node, Var):
-            return {node.name: from_integer(1)}
+            return {node.name: 1}
         if isinstance(node, Product):
             left, right = walk(node.left), walk(node.right)
             for name, coeff in right.items():
-                left[name] = left.get(name, from_integer(0)) + coeff
+                left[name] = left.get(name, 0) + coeff
             return left
         if isinstance(node, OmegaInv):
             return {name: -coeff for name, coeff in walk(node.child).items()}
@@ -218,4 +219,7 @@ def abelianize(pi: Supernatural, term: SigmaTerm, variables) -> dict[str, Pseudo
         raise InputError(f"unknown node {node!r}")
 
     sparse = walk(term)
-    return {name: sparse.get(name, from_integer(0)) for name in variables}
+    coeffs = {name: sparse.get(name, 0) for name in variables}
+    return {
+        name: c if isinstance(c, Pseudonumber) else from_integer(c) for name, c in coeffs.items()
+    }

@@ -12,6 +12,7 @@ from profint import (
     EquationSystem,
     InputError,
     Refutation,
+    ResourceError,
     Supernatural,
     Verdict,
     Witness,
@@ -28,12 +29,13 @@ from profint import (
     parse_term,
     verify_witness,
 )
-from profint.oracle import MAX_MODULUS, search_quotient
+from profint.oracle import MAX_MODULUS, MAX_VARIABLES, search_quotient
 from profint.intlinalg import solve_nonsingular
 from profint.pseudonumber import check_modulus
 from profint.reducibility import _branch_rows, _linear_forms, _point
 from profint.solver import SigmaMatrix, _split_rows, solve_system
 from conftest import finite_base_pool, random_pseudonumber, random_supernatural
+import reference_reducibility as reference
 
 XY = ("x", "y")
 
@@ -282,9 +284,13 @@ def random_branch_text(rng, width):
     return "+".join([base] + [vector(0) + "N" for _ in range(rng.randint(0, 2))])
 
 
-def random_system(rng, pi):
-    alphabet = ("a", "b")[: rng.randint(1, 2)]
-    variables = ("x", "y", "z")[: rng.randint(2, 3)]
+def random_system(rng, pi, names=("x", "y", "z"), alphabet=None):
+    """Up to three of the names as variables (at least two when there are),
+    1-2 equations and 1-2 branches per variable; the alphabet is drawn unless
+    given."""
+    if alphabet is None:
+        alphabet = ("a", "b")[: rng.randint(1, 2)]
+    variables = names[: rng.randint(2, 3)]
     equations = tuple(
         (random_term(rng, pi, variables), random_term(rng, pi, variables))
         for _ in range(rng.randint(1, 2))
@@ -484,8 +490,52 @@ def test_branch_rows_scale_skips_cancelled_keys():
     assert [str(v) for v in witness.assignment["x"]] == ["2 - 4*[2^(w-1)]", "0"]
 
 
+def linked_components(system, forms):
+    """The test's own partition of the variables: (variables, has forms) per
+    connected component, two variables linked when a form has a nonzero
+    coefficient on both; components come in the order of their first
+    variables, and a form with no nonzero coefficient counts for the first
+    component that has a nonzero one."""
+    parts = [{x} for x in system.variables]
+    for form in forms:
+        used = {x for x in system.variables if form[x]}
+        if used:
+            merged = set().union(*(part for part in parts if part & used))
+            parts = [part for part in parts if not part & used] + [merged]
+    parts.sort(key=lambda part: min(map(system.variables.index, part)))
+    components = [[x for x in system.variables if x in part] for part in parts]
+    linked = [i for i, part in enumerate(parts) if any(form[x] for form in forms for x in part)]
+    home = linked[0] if linked else 0
+    return [
+        (variables, i in linked or i == home and bool(forms))
+        for i, variables in enumerate(components)
+    ]
+
+
+def sub_system(system, variables, forms):
+    """The component's variables with the equations whose nonzero
+    coefficients lie on them.  A variable those equations name with a zero
+    coefficient comes last, fixed at the zero point, so the component's
+    combinations keep their order."""
+    equations = tuple(
+        equation for equation, form in zip(system.equations, forms)
+        if any(form[x] for x in variables)
+    )
+    named = set().union(*(lhs.variables() | rhs.variables() for lhs, rhs in equations))
+    extra = tuple(x for x in system.variables if x in named and x not in variables)
+    zero = parse_semilinear("(" + ",".join("0" * len(system.alphabet)) + ")", system.alphabet)
+    return EquationSystem(
+        system.alphabet,
+        tuple(variables) + extra,
+        equations,
+        {**{x: system.constraints[x] for x in variables}, **dict.fromkeys(extra, zero)},
+    )
+
+
 def test_each_solved_combination_calls_solve_system_once(monkeypatch):
-    # the benchmark's tracer counts branch combinations by wrapping this name
+    # the benchmark's tracer counts branch combinations by wrapping this name;
+    # each component's combinations are tried in order until its first
+    # solvable one, and the first component with none ends the decision
     calls = []
 
     def counted(*args, **kwargs):
@@ -494,27 +544,32 @@ def test_each_solved_combination_calls_solve_system_once(monkeypatch):
 
     monkeypatch.setattr(profint.reducibility, "solve_system", counted)
     rng = random.Random(4242)
-    reached = 0
+    reached = split = 0
     for trial in range(90):
         pi = random_ambient(rng, AMBIENT_KINDS[trial % 3])
         system = random_system(rng, pi)
-        calls.clear()
-        outcome = decide_and_witness(pi, system)
-        combos = list(itertools.product(
-            *(range(len(system.constraints[x].branches)) for x in system.variables)
-        ))
-        if outcome:
-            combos = combos[: combos.index(tuple(outcome.branches[x] for x in system.variables)) + 1]
-        expected = sum(
-            any(
-                system.constraints[x].branches[i].periods
-                for x, i in zip(system.variables, combo)
+        forms = _linear_forms(pi, system)
+        expected = 0
+        components = linked_components(system, forms)
+        split += len(components) > 1
+        for variables, has_forms in components:
+            outcome = reference.decide_and_witness(pi, sub_system(system, variables, forms))
+            combos = list(itertools.product(
+                *(range(len(system.constraints[x].branches)) for x in variables)
+            ))
+            if outcome:
+                combos = combos[: combos.index(tuple(outcome.branches[x] for x in variables)) + 1]
+            expected += has_forms * sum(
+                any(system.constraints[x].branches[i].periods for x, i in zip(variables, combo))
+                for combo in combos
             )
-            for combo in combos
-        )
+            if not outcome:
+                break
+        calls.clear()
+        decide_and_witness(pi, system)
         assert len(calls) == expected
         reached += expected
-    assert reached > 100
+    assert reached > 100 and split > 10
 
 
 def test_point_matches_the_ring_operations():
@@ -575,3 +630,170 @@ def test_verify_witness_accepts_plain_int_coefficients():
     moved = replace(witness, coefficients={**witness.coefficients, "y": (3, 2)})
     verdict = verify_witness(pi, system, moved)
     assert not verdict and verdict.component == ("y", "b")
+
+
+def decoupled_system(rng, pi):
+    """Two independent random_system halves over one alphabet, on disjoint
+    variables: no equation joins them."""
+    alphabet = ("a", "b")[: rng.randint(1, 2)]
+    left = random_system(rng, pi, rng.choice((("x",), ("x", "y", "z"))), alphabet)
+    right = random_system(rng, pi, rng.choice((("u",), ("u", "v", "t"))), alphabet)
+    return EquationSystem(
+        alphabet,
+        left.variables + right.variables,
+        left.equations + right.equations,
+        {**left.constraints, **right.constraints},
+    )
+
+
+def rendered(outcome):
+    """The str of every witness entry, coefficient and quotient."""
+    if outcome:
+        return (
+            {x: [str(v) for v in vector] for x, vector in outcome.assignment.items()},
+            {x: [str(c) for c in cs] for x, cs in outcome.coefficients.items()},
+        )
+    return [(combo, str(n)) for combo, n in outcome.quotients]
+
+
+def test_components_agree_with_the_full_product():
+    rng = random.Random(1919)
+    seen = {"one": 0, "split": 0, "refuted": 0, "searched": 0}
+    for trial in range(240):
+        pi = random_ambient(rng, AMBIENT_KINDS[trial % 3])
+        system = random_system(rng, pi) if trial % 2 else decoupled_system(rng, pi)
+        outcome = decide_and_witness(pi, system)
+        expected = reference.decide_and_witness(pi, system)
+        assert bool(outcome) == bool(expected)
+        one = len(linked_components(system, _linear_forms(pi, system))) == 1
+        seen["one" if one else "split"] += 1
+        if one:
+            assert rendered(outcome) == rendered(expected)
+        if outcome:
+            assert outcome.branches == expected.branches
+            assert verify_witness(pi, system, outcome)
+            continue
+        seen["refuted"] += 1
+        assert [combo for combo, _ in outcome.quotients] == [
+            combo for combo, _ in expected.quotients
+        ]
+        assert all(pi.divisible_by(n) for _, n in outcome.quotients)
+        combined = outcome.combined_modulus()
+        if combined <= MAX_MODULUS and len(system.variables) <= MAX_VARIABLES:
+            try:
+                assert search_quotient(system, combined, pi) is None
+            except ResourceError:
+                continue
+            seen["searched"] += 1
+    assert min(seen.values()) > 10, seen
+
+
+def zero_form_system(constraints):
+    """x = y*y beside the zero form x*x^(w-1)*x = x: one component."""
+    return EquationSystem(
+        ("a",),
+        XY,
+        (
+            (parse_term("x*x^(w-1)*x", XY), parse_term("x", XY)),
+            (parse_term("x", XY), parse_term("y*y", XY)),
+        ),
+        {x: parse_semilinear(text, ["a"]) for x, text in zip(XY, constraints)},
+    )
+
+
+def test_zero_form_in_one_component_prints_as_before():
+    for pi_text, constraints in (
+        ("3^inf;default=0", ("(1)+(2)N", "(1)+(1)N")),
+        ("2^inf;default=0", ("(1)+(2)N", "(1)+(1)N")),
+        ("2^2,3^inf;default=0", ("(0) | (2)+(3)N", "(1)+(2)N | (0)+(1)N")),
+    ):
+        pi = parse_supernatural(pi_text)
+        system = zero_form_system(constraints)
+        outcome = decide_and_witness(pi, system)
+        expected = reference.decide_and_witness(pi, system)
+        assert bool(outcome) == bool(expected)
+        assert rendered(outcome) == rendered(expected)
+        if outcome:
+            assert outcome.branches == expected.branches
+
+
+def test_variable_with_zero_coefficients_is_never_solved_for(monkeypatch):
+    # y*y^(w-1) gives y the coefficient 0: y only needs a nonempty constraint,
+    # and the witness puts it at its first branch's base
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_system(*args, **kwargs)
+
+    monkeypatch.setattr(profint.reducibility, "solve_system", counted)
+    pi = parse_supernatural("3^inf;default=0")
+    system = EquationSystem(
+        ("a",),
+        XY,
+        ((parse_term("x", XY), parse_term("y*y^(w-1)*x*x", XY)),),
+        {
+            "x": parse_semilinear("(1) | (0)+(1)N", ["a"]),
+            "y": parse_semilinear("(2)+(5)N+(7)N | (1)", ["a"]),
+        },
+    )
+    forms = _linear_forms(pi, system)
+    assert not any(form["y"] for form in forms)
+    witness = decide_and_witness(pi, system)
+    assert witness and witness.branches == {"x": 1, "y": 0}
+    assert len(calls) == 1  # x's second branch; its first has no unknowns
+    assert [str(c) for c in witness.coefficients["y"]] == ["0", "0"]
+    assert [str(v) for v in witness.assignment["y"]] == ["2"]
+    assert equal_in_ab(pi, witness.assignment["x"][0], 0)
+    assert verify_witness(pi, system, witness)
+
+
+def test_empty_constraint_in_the_second_component_refutes_with_no_quotients(monkeypatch):
+    # the product of the branches is empty, so nothing is solved, not even
+    # x's component before y's
+    def refuse(*args, **kwargs):
+        raise AssertionError("an empty product needs no solve")
+
+    monkeypatch.setattr(profint.reducibility, "solve_system", refuse)
+    pi = parse_supernatural("3^inf;default=0")
+    system = EquationSystem(
+        ("a",),
+        XY,
+        (
+            (parse_term("x", XY), parse_term("x*x", XY)),
+            (parse_term("y", XY), parse_term("y*y", XY)),
+        ),
+        {"x": parse_semilinear("(0)+(1)N", ["a"]), "y": parse_semilinear("empty", ["a"])},
+    )
+    outcome = decide_and_witness(pi, system)
+    assert outcome == Refutation(())
+    assert outcome.combined_modulus() == 1
+
+
+def test_only_the_second_component_fails():
+    # x = x*x solves at x's first branch; y = y*y forces y = 0, which y's
+    # branches (1) and (2) miss at 2 and at 4.  Every full combination is
+    # listed, each with the modulus of its y branch.
+    pi = parse_supernatural("2^inf;default=0")
+    system = EquationSystem(
+        ("a",),
+        XY,
+        (
+            (parse_term("x", XY), parse_term("x*x", XY)),
+            (parse_term("y", XY), parse_term("y*y", XY)),
+        ),
+        {
+            "x": parse_semilinear("(0)+(1)N | (1)", ["a"]),
+            "y": parse_semilinear("(1) | (2)", ["a"]),
+        },
+    )
+    outcome = decide_and_witness(pi, system)
+    assert not outcome
+    assert outcome.quotients == (((0, 0), 2), ((0, 1), 4), ((1, 0), 2), ((1, 1), 4))
+    assert outcome.combined_modulus() == 4
+    assert search_quotient(system, 4, pi) is None
+    # the full product refutes (1, 0) and (1, 1) in x's branch, where x = 1
+    # fails at 2
+    assert reference.decide_and_witness(pi, system).quotients == (
+        ((0, 0), 2), ((0, 1), 4), ((1, 0), 2), ((1, 1), 2)
+    )

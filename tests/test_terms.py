@@ -5,6 +5,7 @@ import pytest
 from profint import (
     InputError,
     OmegaInv,
+    Pseudonumber,
     PrimePower,
     Product,
     SignatureError,
@@ -97,6 +98,43 @@ def test_abelianize_is_structural_homomorphism():
         scaled = abelianize(pi, PrimePower(t, 3), XY)
         for x in XY:
             assert equal_in_ab(pi, scaled[x], omega_power(pi, 3, 1) * t_vec[x])
+
+
+def ring_abelianize(pi, term, variables):
+    """abelianize by ring operations at every node: a Pseudonumber per leaf,
+    per sum and per negation."""
+    def walk(node):
+        if isinstance(node, Var):
+            return {node.name: from_integer(1)}
+        if isinstance(node, Product):
+            left, right = walk(node.left), walk(node.right)
+            for name, coeff in right.items():
+                left[name] = left.get(name, from_integer(0)) + coeff
+            return left
+        if isinstance(node, OmegaInv):
+            return {name: -coeff for name, coeff in walk(node.child).items()}
+        scale = omega_power(pi, node.prime, 1)
+        return {name: scale * coeff for name, coeff in walk(node.child).items()}
+
+    sparse = walk(term)
+    return {name: sparse.get(name, from_integer(0)) for name in variables}
+
+
+def test_abelianize_matches_the_ring_operations():
+    # abelianize keeps integer coefficients until a p^(w-1) power; the
+    # normal form, its text and its ambient are those of the ring operations
+    rng = random.Random(53)
+    pi = parse_supernatural("2^2,3^1,5^1;default=inf")
+    variables = ("x", "y", "z")
+    for _ in range(200):
+        term = random_term(rng, variables[:2], depth=rng.randint(0, 4))
+        got = abelianize(pi, term, variables)
+        expected = ring_abelianize(pi, term, variables)
+        assert list(got) == list(variables)
+        for x in variables:
+            assert isinstance(got[x], Pseudonumber)
+            assert got[x] == expected[x] and str(got[x]) == str(expected[x])
+            assert got[x].pi == expected[x].pi
 
 
 def test_quotient_consistency():
