@@ -1,4 +1,5 @@
-"""The comparison of tools/reduce_moves.py, on small hand-built answers: the
+"""The comparison of tools/reduce_moves.py, on small hand-built answers, and
+its reading of answers from another checkout, here a stand-in one: the real
 streams take the benchmark's code and are not run here."""
 import importlib.util
 import json
@@ -10,7 +11,8 @@ TOOL = Path(__file__).resolve().parent.parent / "tools" / "reduce_moves.py"
 
 
 @pytest.fixture
-def tool():
+def tool(monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOL.parent))
     spec = importlib.util.spec_from_file_location("reduce_moves", TOOL)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -68,10 +70,35 @@ def test_main_exits_1_when_a_verdict_or_branch_moves(tool, monkeypatch, capsys):
         "moved": [solved({"x": 1}, x=["1"]), refuted(((0,), 2))],
     }
     monkeypatch.setattr(tool, "ROOT", "same")
-    monkeypatch.setattr(tool, "answers", lambda checkout, seed, count: answers[str(checkout)])
-    assert tool.main(["parent", "--seeds", "11"]) == 0
-    counts = json.loads(capsys.readouterr().out)
-    assert counts["quotients_shrunk"] == 1 and counts["combined_shrunk"] == 1
+    monkeypatch.setattr(tool, "answers", lambda checkout, seed: answers[str(checkout)])
+    assert tool.main(["parent"]) == 0
+    counts = json.loads(capsys.readouterr().out)  # one pair of answers per seed
+    assert counts["quotients_shrunk"] == 2 and counts["combined_shrunk"] == 2
     monkeypatch.setattr(tool, "ROOT", "moved")
-    assert tool.main(["parent", "--seeds", "11", "12"]) == 1
+    assert tool.main(["parent"]) == 1
     assert json.loads(capsys.readouterr().out)["branches_moved"] == 2
+
+
+FAKE_WORKLOADS = """
+class Reduce:
+    def requests(rng):
+        while True:
+            yield rng.randrange(10**6)
+
+    def execute(request):
+        return ('{"request": %d}' % request,)
+
+
+WORKLOADS = {"reduce": Reduce}
+"""
+
+
+def test_answers_read_each_stream_answer_of_a_checkout(tool, tmp_path):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "workloads.py").write_text(FAKE_WORKLOADS)
+    texts = tool.answers(tmp_path, 11)
+    assert len(texts) == tool.REQUESTS["reduce"]
+    requests = [json.loads(text)["request"] for text in texts]
+    assert len(set(requests)) > 1
+    assert tool.answers(tmp_path, 11) == texts != tool.answers(tmp_path, 12)

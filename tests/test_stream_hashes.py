@@ -1,5 +1,6 @@
 """The comparison of tools/stream_hashes.py, on small dicts: the full
 streams take the benchmark's code and are not run here."""
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -44,3 +45,25 @@ def test_against_exits_1_on_a_difference(tool, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(tool, "stream_hashes", lambda: {"reduce/11/0": "aa", "reduce/12/0": "zz"})
     assert tool.main(["--against", str(path)]) == 1
     assert capsys.readouterr().out == "reduce/12/0: zz differs from the recorded bb\n"
+
+
+class CountingWorkload:
+    """Requests are the stream's random draws; each answer is a 1-tuple."""
+
+    @staticmethod
+    def requests(rng):
+        while True:
+            yield rng.randrange(1000)
+
+    @staticmethod
+    def execute(request):
+        return (request * 2,)
+
+
+def test_stream_hash_hashes_the_stream_answers(tool):
+    answers = list(tool.stream_answers(CountingWorkload, "reduce/11/0", 5))
+    assert len(answers) == 5 and all(len(answer) == 1 for answer in answers)
+    assert answers == list(tool.stream_answers(CountingWorkload, "reduce/11/0", 5))
+    assert answers != list(tool.stream_answers(CountingWorkload, "reduce/12/0", 5))
+    expected = hashlib.sha256("".join(map(repr, answers)).encode()).hexdigest()
+    assert tool.stream_hash(CountingWorkload, "reduce/11/0", 5) == expected

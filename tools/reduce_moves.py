@@ -2,9 +2,9 @@
 ``reduce`` streams.
 
     python3 tools/reduce_moves.py PARENT_CHECKOUT
-    python3 tools/reduce_moves.py PARENT_CHECKOUT --seeds 11 12 --count 300
 
-Runs the first ``--count`` requests of stream ``reduce/<seed>/0`` through
+Runs the ``reduce`` streams of ``tools/stream_hashes.py`` (the first 300
+requests of ``reduce/<seed>/0`` for seeds 11 and 12) through
 ``bench/workloads.py``'s ``execute``, once with the ``src/`` and ``bench/`` of
 the checkout this script sits in and once with those of PARENT_CHECKOUT, each
 in its own process, and prints one JSON object that counts, over all pairs of
@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import subprocess
 import sys
 from pathlib import Path
+
+from stream_hashes import REQUESTS, SEEDS, stream_answers
 
 ROOT = Path(__file__).resolve().parent.parent
 COUNTS = (
@@ -41,25 +42,22 @@ COUNTS = (
 )
 
 
-def emit(checkout: str, seed: int, count: int):
+def emit(checkout: str, seed: int):
     """Print the answer text of each request of stream reduce/<seed>/0, one
     JSON string per line, with the checkout's profint and workloads."""
     root = Path(checkout).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
     import workloads
 
-    workload = workloads.WORKLOADS["reduce"]
-    requests = workload.requests(random.Random(f"reduce/{seed}/0"))
-    for _ in range(count):
-        (printed,) = workload.execute(next(requests))
+    stream = f"reduce/{seed}/0"
+    for (printed,) in stream_answers(workloads.WORKLOADS["reduce"], stream, REQUESTS["reduce"]):
         print(json.dumps(printed))
 
 
-def answers(checkout, seed: int, count: int) -> list[str]:
+def answers(checkout, seed: int) -> list[str]:
     """The answer texts of one checkout, from a process of its own."""
     run = subprocess.run(
-        [sys.executable, __file__, "--emit", str(checkout), "--seeds", str(seed),
-         "--count", str(count)],
+        [sys.executable, __file__, str(checkout), "--emit", str(seed)],
         check=True, capture_output=True, text=True,
     )
     return [json.loads(line) for line in run.stdout.splitlines()]
@@ -105,18 +103,15 @@ def compare(parent: list[str], change: list[str]) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", metavar="PARENT_CHECKOUT")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[11, 12])
-    parser.add_argument("--count", type=int, default=300)
-    parser.add_argument("--emit", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--emit", type=int, metavar="SEED", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.emit:
-        for seed in args.seeds:
-            emit(args.parent, seed, args.count)
+    if args.emit is not None:
+        emit(args.parent, args.emit)
         return 0
     parent, change = [], []
-    for seed in args.seeds:
-        parent += answers(args.parent, seed, args.count)
-        change += answers(ROOT, seed, args.count)
+    for seed in SEEDS:
+        parent += answers(args.parent, seed)
+        change += answers(ROOT, seed)
     counts = compare(parent, change)
     print(json.dumps(counts))
     return 1 if counts["verdicts_moved"] or counts["branches_moved"] else 0

@@ -31,11 +31,17 @@ REQUESTS = {"equality": 2000, "sigma_systems": 150, "integer_systems": 30, "redu
 SEEDS = (11, 12)
 
 
-def stream_hash(workload, stream: str, count: int) -> str:
+def stream_answers(workload, stream: str, count: int):
+    """The ``execute`` results of the first ``count`` requests of a stream."""
     requests = workload.requests(random.Random(stream))
-    digest = hashlib.sha256()
     for _ in range(count):
-        digest.update(repr(workload.execute(next(requests))).encode())
+        yield workload.execute(next(requests))
+
+
+def stream_hash(workload, stream: str, count: int) -> str:
+    digest = hashlib.sha256()
+    for result in stream_answers(workload, stream, count):
+        digest.update(repr(result).encode())
     return digest.hexdigest()
 
 
