@@ -16,7 +16,9 @@ same profinite integer.  Semantic equality must go through
 
 Text form: ``3 + 2*[6^(w-2)] - [5^(w-1)]``, a signed sum of products of
 integers and brackets, with whitespace allowed between tokens and around
-the text.  :func:`parse_pseudonumber` reads it in one pass: one regular
+the text.  :func:`parse_pseudonumber` reads a text that is one integer
+literal, with or without a sign, by one whole-text match and builds its
+value directly; any other text it reads in one pass: one regular
 expression splits the text into tokens, a whole bracket ``[b^(w-k)]`` being
 one token, and each summand ``c1*c2*...*[b^(w-k)]`` goes straight into the
 constant or into one (base, offset, coeff) triple, so a value is constructed
@@ -80,6 +82,11 @@ class Pseudonumber:
     def __init__(self, const=0, terms=(), pi: Supernatural | None = None, *, _checked=False):
         if not isinstance(const, int):
             raise InputError(f"constant must be an integer, got {const!r}")
+        if not terms:  # a plain integer: nothing to normalize or check
+            object.__setattr__(self, "const", const)
+            object.__setattr__(self, "terms", ())
+            object.__setattr__(self, "pi", None)
+            return
         merged: dict[tuple[int, int], int] = {}
         for t in terms:
             base, offset, coeff = (t.base, t.offset, t.coeff) if isinstance(t, Term) else t
@@ -349,6 +356,8 @@ def clearing_factor(pi: Supernatural, u: Pseudonumber) -> tuple[int, int]:
 
 # -- text form ---------------------------------------------------------------
 
+# a whole text that is one integer literal: (sign, digits)
+_INTEGER = re.compile(r"\s*([+-]?)\s*(\d+)\s*")
 _BAD_CHARACTER = re.compile(r"[^\s\d\[\]^()w+*-]")
 # (token, base, offset); base and offset are set exactly when the token is
 # a whole bracket, whose token text starts with its '['
@@ -446,6 +455,10 @@ def parse_pseudonumber(text: str, pi: Supernatural | None = None) -> Pseudonumbe
     """
     if not isinstance(text, str):
         raise InputError(f"a pseudonumber must be given as text, got {type(text).__name__}")
+    integer = _INTEGER.fullmatch(text)
+    if integer is not None:
+        value = _literal(integer[2])
+        return Pseudonumber(-value if integer[1] == "-" else value)
     bad = _BAD_CHARACTER.search(text)
     if bad is not None:
         where = len(text[: bad.start()].rstrip())

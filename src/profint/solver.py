@@ -276,7 +276,10 @@ def _rest_rational(pi, rest, det, numerators):
         a, h = n // f, det // f
         if h < 0:
             a, h = -a, -h
-        y.append(from_integer(a) if h == 1 else a * omega_power(pi, h, 1))
+        y.append(
+            from_integer(a) if h == 1
+            else integer_combination(0, ((a, omega_power(pi, h, 1)),))
+        )
     return y
 
 

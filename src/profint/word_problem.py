@@ -74,6 +74,8 @@ def _scale(values) -> int:
 def _scaled_sum(u: Pseudonumber, d: int) -> int:
     """d*u on the part of the ambient where every base of u is a unit,
     for d a multiple of every base^offset of u."""
+    if not u.terms:
+        return d * u.const
     return d * u.const + sum(t.coeff * (d // t.base**t.offset) for t in u.terms)
 
 
