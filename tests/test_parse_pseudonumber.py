@@ -4,10 +4,13 @@ replaced, kept here as the reference.
 For every text the two must return the same normal form (constant, terms
 and ambient) or raise the same exception type with the same message.  The
 one intended difference is trailing whitespace, which the reference rejects
-as a bad character and the one-pass parser accepts.
+as a bad character and the one-pass parser accepts.  A text that is one
+integer literal takes the parser's direct path, so texts of signs,
+whitespace and digits (some of them not ASCII) are compared too.
 """
 import random
 import re
+import sys
 
 from hypothesis import given, settings, strategies as st
 
@@ -262,6 +265,24 @@ FIXED = [
     "[2^(w-" + "1" * 5000 + ")]",
     "[" + "2" * 5000 + "^",
     "5 + [3^(w-1)] + " + "7" * 5000,
+    # integer literals, read on the parser's direct path or falling through
+    "0",
+    "-0",
+    "+7",
+    " - 7 ",
+    "007",
+    "\t12\n",
+    "٣",
+    "-٣٢",
+    "5 5",
+    "--5",
+    "+",
+    "-",
+    "- ",
+    "2²",
+    "9" * sys.get_int_max_str_digits(),
+    "-" + "9" * (sys.get_int_max_str_digits() + 1),
+    " + " + "9" * (sys.get_int_max_str_digits() + 1) + " ",
 ]
 
 
@@ -325,4 +346,21 @@ def test_matches_reference_on_grammar_texts(text, pi):
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
 @given(st.text(alphabet=ALPHABET + STRAY, max_size=24), st.sampled_from(AMBIENTS))
 def test_matches_reference_on_arbitrary_texts(text, pi):
+    check(text, pi)
+
+
+@st.composite
+def literal_texts(draw):
+    """Signs, whitespace and digits around one literal, now and then broken
+    by a second sign or literal."""
+    space = st.sampled_from(("", "", " ", "  ", "\t", "\n", "\x1c", "\u00a0"))
+    sign = st.sampled_from(("", "", "+", "-", "--", "+-"))
+    digits = st.text(alphabet="0123456789٣٢²", max_size=8)
+    stray = st.sampled_from(("", "", "", "", "5", " 5", "-", "+ 5"))
+    return "".join((draw(space), draw(sign), draw(space), draw(digits), draw(stray), draw(space)))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(literal_texts(), st.sampled_from(AMBIENTS))
+def test_matches_reference_on_literal_texts(text, pi):
     check(text, pi)

@@ -18,6 +18,7 @@ from profint import (
     parse_supernatural,
 )
 from profint.pseudonumber import _check_signature as check_signature, integer_combination
+from profint.word_problem import _scaled_sum
 from conftest import factorint, random_pseudonumber, random_supernatural, sample_moduli
 
 PI = parse_supernatural("3^1,5^inf;default=0")
@@ -27,6 +28,28 @@ def test_from_integer():
     for a in (0, 7, -3):
         u = from_integer(a)
         assert u.const == a and u.terms == () and u.pi is None
+
+
+def test_term_free_values_agree_however_built():
+    for k in (0, 1, -5, 12, 2**100, -(3**60)):
+        values = [
+            Pseudonumber(k),
+            Pseudonumber(k, (), PI),
+            from_integer(k),
+            integer_combination(k, ()),
+            Pseudonumber(k, [(6, 1, 2), (6, 1, -2)], PI),
+            Pseudonumber(k - 4, [(1, 3, 4)], PI),
+            parse_pseudonumber(str(k), PI),
+        ]
+        for u in values:
+            assert u.const == k and u.terms == () and u.pi is None
+            assert u == values[0] and u == k
+            assert hash(u) == hash(values[0]) == hash(k)
+            assert _scaled_sum(u, 12) == 12 * k
+    for const in (1.5, "3", None):
+        for pi in (None, PI):
+            with pytest.raises(InputError, match="constant must be an integer"):
+                Pseudonumber(const, (), pi)
 
 
 def test_omega_power_constructor():

@@ -838,9 +838,25 @@ def reference_rest_smith(pi, rest, integer_matrix, targets):
     return snf.right.mul_vec(z)
 
 
+def reference_rest_rational(pi, rest, det, numerators):
+    """_rest_rational by ring operations: each a_i/h_i built as the
+    product a_i * [h_i^(w-1)]."""
+    g = rest.gcd(abs(det))
+    if any(n % g for n in numerators):
+        return SystemRefutation(g, "diagonal equation unsolvable")
+    y = []
+    for n in numerators:
+        f = gcd(n, det)
+        a, h = n // f, det // f
+        if h < 0:
+            a, h = -a, -h
+        y.append(from_integer(a) if h == 1 else a * omega_power(pi, h, 1))
+    return y
+
+
 def reference_solve_split(pi, rows):
-    """The solver's core with reference_rest_smith and the glue
-    x1 + G^w * (y - x1) by ring operations."""
+    """The solver's core with reference_rest_rational, reference_rest_smith
+    and the glue x1 + G^w * (y - x1) by ring operations."""
     rational = (
         solve_nonsingular(rows.matrix, rows.targets)
         if rows.matrix.rows == rows.matrix.cols else None
@@ -857,7 +873,7 @@ def reference_solve_split(pi, rows):
     if rest.is_finite() and rest.as_integer() == 1:
         return [from_integer(a) for a in x1]
     if rational:
-        y = solver_module._rest_rational(pi, rest, *rational)
+        y = reference_rest_rational(pi, rest, *rational)
     else:
         y = reference_rest_smith(pi, rest, rows.matrix, rows.targets)
     if isinstance(y, SystemRefutation):
