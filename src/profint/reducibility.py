@@ -37,7 +37,7 @@ from math import lcm
 from .errors import InputError
 from .intlinalg import IntMatrix
 from .pseudonumber import _residue, from_integer, integer_combination
-from .semilinear import SemilinearSet
+from .semilinear import SemilinearSet, parse_semilinear
 from .solver import SigmaMatrix, SplitRows, solve_system, verify_solution
 from .supernatural import Supernatural
 from .terms import SigmaTerm, abelianize, parse_term
@@ -96,8 +96,6 @@ class EquationSystem:
         """Build from the structured document used by the CLI: fields
         alphabet, variables, equations (strings "lhs = rhs") and constraints
         (variable -> semilinear string)."""
-        from .semilinear import parse_semilinear
-
         alphabet, variables, equation_texts = (
             tuple(_field(doc, name, list)) for name in ("alphabet", "variables", "equations")
         )
@@ -110,8 +108,8 @@ class EquationSystem:
         equations = []
         for text in equation_texts:
             lhs, sep, rhs = text.partition("=")
-            if not sep:
-                raise InputError(f"equation {text!r} needs '='")
+            if not sep or "=" in rhs:
+                raise InputError(f"equation {text!r} needs exactly one '='")
             equations.append(
                 (parse_term(lhs.strip(), variables), parse_term(rhs.strip(), variables))
             )

@@ -76,7 +76,6 @@ from .word_problem import (
     _coerce,
     _scale,
     _scaled_sum,
-    is_zero,
     refuting_modulus,
 )
 
@@ -137,11 +136,6 @@ def solve_single_with_refutation(pi: Supernatural, u, v):
     """(witness, None) if u*x = v is solvable over the completion, else
     (None, modulus) with a finite refuting modulus dividing the ambient."""
     u, v = _coerce(u), _coerce(v)
-    if is_zero(pi, u):
-        zero_v = is_zero(pi, v)
-        if zero_v:
-            return from_integer(0), None
-        return None, zero_v.witness_modulus
     outcome = solve_system(pi, SigmaMatrix([[u]], pi), [v])
     if outcome:
         return outcome[0], None

@@ -313,6 +313,8 @@ def parse_supernatural(text: str) -> Supernatural:
             if not sep:
                 raise InputError(f"expected p^e, got {chunk!r}")
             try:
+                if not base.isdecimal():  # int() also reads '_' and a sign
+                    raise ValueError
                 p = int(base)
             except ValueError:
                 raise InputError(f"bad prime {base!r}") from None
@@ -320,6 +322,8 @@ def parse_supernatural(text: str) -> Supernatural:
                 e = INFINITY
             else:
                 try:
+                    if not exp.isdecimal():
+                        raise ValueError
                     e = int(exp)
                 except ValueError:
                     raise InputError(f"bad exponent {exp!r}") from None

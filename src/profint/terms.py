@@ -2,7 +2,7 @@
 
 Grammar (products left-associative, postfix powers bind tighter):
 
-    term   := factor {('*' | ' ') factor}
+    term   := factor {['*'] factor}
     factor := atom ['^' '(' power ')']
     atom   := varname | '(' term ')'
     power  := 'w-1' | prime '^' '(' 'w-1' ')'
@@ -77,37 +77,20 @@ class PrimePower(SigmaTerm):
         return f"({self.child})^({self.prime}^(w-1))"
 
 
-_TERM_TOKEN = re.compile(r"([A-Za-z_][A-Za-z_0-9]*|\d+|\^|\(|\)|\*|\-)")
+_TERM_TOKEN = re.compile(r"\s*(?:([A-Za-z_][A-Za-z_0-9]*|\d+|[()^*-])|(\S))")
 
 
 def _is_name(tok):
-    return tok is not None and re.fullmatch(r"[A-Za-z_]\w*", tok) is not None
+    return tok is not None and tok[0].isidentifier()
 
 
 def _tokenize(text: str):
-    out, pos = [], 0
-    while pos < len(text):
-        if text[pos].isspace():
-            out.append((" ", pos))
-            while pos < len(text) and text[pos].isspace():
-                pos += 1
-            continue
-        m = _TERM_TOKEN.match(text, pos)
-        if not m:
-            raise InputError(f"bad character at position {pos} in {text!r}")
-        out.append((m.group(1), pos))
-        pos = m.end()
-    # keep whitespace only where it separates two factors (implicit product)
-    cleaned = []
-    for idx, (tok, where) in enumerate(out):
-        if tok == " ":
-            prev = cleaned[-1][0] if cleaned else None
-            nxt = next((t for t, _ in out[idx + 1:] if t != " "), None)
-            separates = (prev == ")" or _is_name(prev)) and (nxt == "(" or _is_name(nxt))
-            if not separates:
-                continue
-        cleaned.append((tok, where))
-    return cleaned
+    tokens = []
+    for m in _TERM_TOKEN.finditer(text):
+        if m[2]:
+            raise InputError(f"bad character at position {m.start(2)} in {text!r}")
+        tokens.append((m[1], m.start(1)))
+    return tokens
 
 
 class _TermParser(_TokenParser):
@@ -122,15 +105,11 @@ class _TermParser(_TokenParser):
 
     def term(self) -> SigmaTerm:
         node = self.factor()
-        while self.peek() in ("*", " ") or self._starts_factor():
-            if self.peek() in ("*", " "):
+        while (tok := self.peek()) in ("*", "(") or _is_name(tok):
+            if tok == "*":
                 self.take()
             node = Product(node, self.factor())
         return node
-
-    def _starts_factor(self):
-        tok = self.peek()
-        return tok == "(" or (_is_name(tok) and tok != "w")
 
     def factor(self) -> SigmaTerm:
         node = self.atom()
