@@ -226,6 +226,12 @@ MALFORMED_INPUTS = {
         ["member"],
         json.dumps({"pi": PI3, "constraint": "(%s)+(2)N" % ("1" * 5000), "vector": ["1"]}),
     ),
+    "decide-prime-with-underscore": (["decide", "--pi", "2_3^1;default=0", "1", "1"], None),
+    "decide-exponent-with-underscore": (["decide", "--pi", "3^1_0;default=0", "1", "1"], None),
+    "reduce-equation-two-equals": (
+        ["reduce"],
+        json.dumps(dict(REDUCE_DOC, pi=PI3, equations=["x = y = x"])),
+    ),
     "oracle-term-bad-residue": (
         ["oracle", "term", "--pi", PI3, "--modulus", "3", "--variables", "x",
          "--assign", "x=abc", "--expr", "x"],

@@ -83,6 +83,16 @@ def test_trivial_equation():
     assert witness and equal_in_ab(pi, witness.assignment["x"][0], 1)
 
 
+def test_from_document_needs_exactly_one_equals_sign():
+    doc = {"alphabet": ["a"], "variables": ["x", "y"], "constraints": {"x": "(1)", "y": "(1)"}}
+    system = EquationSystem.from_document(dict(doc, equations=["x = y*y"]))
+    assert system.equations == ((parse_term("x", XY), parse_term("y*y", XY)),)
+    for text in ("x = y = x", "x == y", "x y", "x = y ="):
+        with pytest.raises(InputError) as caught:
+            EquationSystem.from_document(dict(doc, equations=[text]))
+        assert str(caught.value) == f"equation {text!r} needs exactly one '='"
+
+
 def test_no_equations_needs_only_membership():
     pi = parse_supernatural("5^inf;default=0")
     system = EquationSystem(

@@ -66,6 +66,29 @@ def test_solve_single_zero_coefficient():
     assert solve_single(pi4, 4, 1) is None
 
 
+def test_zero_coefficient_refutes_at_a_prime_power():
+    # 0*x = v is a 1x1 system like any other: it is refuted at the first
+    # failing prime power, where is_zero names the whole finite part of v's split
+    pi = parse_supernatural("2^inf,3^2,7^2,11^inf,13^3;default=0")
+    v = parse_pseudonumber("43 - 20*[21^(w-1)]", pi)
+    assert is_zero(pi, v).witness_modulus == 441
+    assert solve_single_with_refutation(pi, 0, v) == (None, 3)
+    assert eval_mod(v, 3, pi) != 0  # 0*x = v has no solution mod 3
+    rng = random.Random(2024)
+    refuted = 0
+    for _ in range(150):
+        pi = random_supernatural(rng)
+        v = random_pseudonumber(rng, pi, max_terms=2, coeff_limit=12)
+        witness, modulus = solve_single_with_refutation(pi, 0, v)
+        assert (witness is None) == (not is_zero(pi, v)), (pi, v)
+        if witness is None:
+            refuted += 1
+            assert pi.divisible_by(modulus) and eval_mod(v, modulus, pi) != 0
+        else:
+            assert equal_in_ab(pi, witness, 0)
+    assert refuted > 50
+
+
 def test_solve_single_torsion_coefficient():
     # u = 2^w - 1 is zero away from 2 but 1 (mod 2): solvable iff v matches
     pi = parse_supernatural("2^1,3^inf;default=0")

@@ -215,6 +215,27 @@ def test_parse_rejects_bad_input():
             parse_supernatural(text)
 
 
+def test_parse_reads_only_decimal_digits():
+    # int() alone would read '2_3' as 23, '1_0' as 10 and accept a sign
+    for text, message in (
+        ("2_3^1;default=0", "bad prime '2_3'"),
+        ("+3^1;default=0", "bad prime '+3'"),
+        ("3^1,5^1_0;default=0", "bad exponent '1_0'"),
+        ("3^+1;default=0", "bad exponent '+1'"),
+        ("3^-1;default=0", "bad exponent '-1'"),
+        ("^1;default=0", "bad prime ''"),
+        ("3^;default=0", "bad exponent ''"),
+        ("1" * 5000 + "^1;default=0", "bad prime '" + "1" * 5000 + "'"),
+        ("3^" + "1" * 5000 + ";default=0", "bad exponent '" + "1" * 5000 + "'"),
+    ):
+        with pytest.raises(InputError) as caught:
+            parse_supernatural(text)
+        assert str(caught.value) == message, text
+    # decimal digits as the other grammars' \d reads them
+    assert parse_supernatural("\u0663^\u0661;default=0") == parse_supernatural("3^1;default=0")
+    assert parse_supernatural("03^010;default=0") == parse_supernatural("3^10;default=0")
+
+
 def test_canonical_form_drops_default_entries():
     assert Supernatural({3: 0, 5: 1}) == Supernatural({5: 1})
     assert Supernatural({3: INFINITY}, default=INFINITY) == Supernatural(
