@@ -110,9 +110,10 @@ class EquationSystem:
             lhs, sep, rhs = text.partition("=")
             if not sep or "=" in rhs:
                 raise InputError(f"equation {text!r} needs exactly one '='")
-            equations.append(
-                (parse_term(lhs.strip(), variables), parse_term(rhs.strip(), variables))
-            )
+            try:  # a side's own message quotes that side only
+                equations.append((parse_term(lhs.strip(), variables), parse_term(rhs.strip(), variables)))
+            except InputError as error:
+                raise InputError(f"equation {text!r}: {error}") from None
         constraints = {
             x: parse_semilinear(constraint_texts[x], alphabet)
             for x in variables

@@ -35,15 +35,25 @@ Rest side, any other A.  With the Smith form L*A*R = D over Z and t = L*c,
 each diagonal equation D_ii * z_i = t_i is decided by the gcd test, on
 integers and in order: a zero D_ii needs t_i = 0 on the rest, and otherwise
 g = gcd(D_ii, rest) must divide t_i.  The first failing equation names a
-finite divisor of the rest where the system already fails, and nothing is
-built.  Once all of them hold, ``z_i = (t_i/g) * [(D_ii/g)^(w-1)]`` and each
-component of y = R*z is built in one construction.
+finite divisor of the rest where the system already fails.  Otherwise
+``z_i = (t_i/g) * [(D_ii/g)^(w-1)]`` and y = R*z.  Either side returns the
+integer pairs (h, a) of each ``y_j = sum a*[h^(w-1)]``, not pseudonumbers.
 
-Glue.  With x1 the congruence solution and G the product of the split primes,
-the idempotent G^w is 0 on M and 1 on the rest, so the witness is
-``x1 + G^w * (y - x1)``, built as ``x1 + G^w*y - x1*G^w`` in one
-construction per component; when the rest is trivial, x1 alone is.  A
+Glue.  With one image of each bracket mod M, delta_i = B_i*y - C_i mod M and
+g = gcd(M, delta_1, ...), y fails exactly at the set P of the p^e of M that
+do not divide g.  When P is empty, y is the witness.  Otherwise, with x1 the
+congruence solution mod M_P = prod P and G the product of the primes of P,
+G^w is 0 mod M_P and 1 at every other prime, and the witness is
+``x1 + G^w * (y - x1)``.  Each component is built once, after every test has
+passed; when the rest is trivial, the residues mod M are the witness.  A
 single equation u*x = v is the 1x1 system.
+
+Order.  A nonsingular square system takes its rest side first, as Bareiss
+has run and it costs only gcds; any other its finite side at every p^e, so a
+refuted system pays for no Smith form, then reduces x1 mod M_P.  The answers
+do not depend on it: each p^e is solved alone, so x1 mod M_P is the solution
+at P alone, and y solves every p^e outside P, so the first failing p^e lies
+in P.  A refuting rest side is reported once the finite side has passed.
 
 Verify.  A witness x is checked on one split, row by row, without
 multiplying pseudonumbers out.  With e = lcm(b^k) over x, the ambient splits
@@ -61,15 +71,8 @@ from math import gcd, lcm, prod
 
 from .errors import InputError
 from .intlinalg import IntMatrix, smith_normal_form, solve_congruences, solve_nonsingular
-from .pseudonumber import (
-    Pseudonumber,
-    _residue,
-    check_modulus,
-    from_integer,
-    integer_combination,
-    omega_closure,
-    omega_power,
-)
+from ._numutil import perfect_root
+from .pseudonumber import Pseudonumber, _residue, _term_residue, check_modulus, from_integer
 from .supernatural import Supernatural
 from .word_problem import (
     Verdict,
@@ -226,63 +229,91 @@ def _solve_split(pi: Supernatural, rows: SplitRows):
     det = rational[0] if rational else 1
     split_primes = pi.positive_finite_primes_of(lcm(*rows.scales) * det)
     finite_modulus, rest = pi.split(split_primes)
-
-    # finite side: congruence system for the original entries, solved per
-    # prime power of M; a failure names the p^(v+1) where it already fails
     check_modulus(finite_modulus, pi)
     residue_matrix, residue_rhs = rows.residues(finite_modulus)
-    x1, refuted = solve_congruences(
-        IntMatrix(residue_matrix),
-        residue_rhs,
-        [(p, pi.exponent_of(p)) for p in split_primes],
-    )
-    if x1 is None:
-        return SystemRefutation(refuted, "congruence system unsolvable")
-    if rest.is_finite() and rest.as_integer() == 1:
-        return [from_integer(a) for a in x1]  # M is the whole ambient
+    prime_powers = [(p, pi.exponent_of(p)) for p in split_primes]
 
-    if rational:
-        y = _rest_rational(pi, rest, *rational)
-    else:
-        y = _rest_smith(pi, rest, integer_matrix, targets)
-    if isinstance(y, SystemRefutation):
-        return y
-    glue = omega_closure(pi, prod(split_primes))
-    return [integer_combination(a, ((1, glue * b), (-a, glue))) for a, b in zip(x1, y)]
+    def finite_side(powers):  # the solution mod the powers, or the p^(v+1) where it fails
+        x1, refuted = solve_congruences(IntMatrix(residue_matrix), residue_rhs, powers)
+        return SystemRefutation(refuted, "congruence system unsolvable") if refuted else x1
+
+    if rest.is_finite() and rest.as_integer() == 1:  # M is the whole ambient
+        x1 = finite_side(prime_powers)
+        return x1 and [from_integer(a) for a in x1]
+    x1 = None if rational else finite_side(prime_powers)
+    if isinstance(x1, SystemRefutation):
+        return x1
+    plan = _rest_rational(rest, *rational) if rational else _rest_smith(rest, integer_matrix, targets)
+    if isinstance(plan, SystemRefutation):
+        if x1 is None and not (x1 := finite_side(prime_powers)):
+            return x1  # the finite side's failure comes first
+        return plan
+
+    images = {h: _term_residue(h, 1, finite_modulus) for component in plan for h, _ in component}
+    y = [sum(c * images[h] for h, c in component) for component in plan]
+    g = finite_modulus
+    for row, c in zip(residue_matrix, residue_rhs):
+        g = gcd(g, sum(a * b for a, b in zip(row, y)) - c)
+    failing = [(p, e) for p, e in prime_powers if g % p**e]
+    if not failing:
+        return [Pseudonumber(0, [(h, 1, c) for h, c in component], pi) for component in plan]
+    x1 = x1 or finite_side(failing)
+    return x1 and _glue(pi, failing, x1, plan, prod(split_primes))
 
 
-def _rest_rational(pi, rest, det, numerators):
+def _glue(pi, failing, x1, plan, every):
+    """``x1 + G^w * (y - x1)``, G the product of the failing primes, x1 mod
+    their powers.  A bracket ``[r^(w-m)]`` of y vanishes at the primes of r,
+    so G^w times it is H^w times it, for H the primes of G prime to r with
+    none or with all of the primes of r in `every`; each term is the shorter
+    of these two ring products."""
+    modulus, glue = prod(p**e for p, e in failing), prod(p for p, _ in failing)
+    forms = {}
+    for h in {h for component in plan for h, _ in component}:
+        r, m = perfect_root(h)
+        forms[h] = []
+        for g in {glue // gcd(glue, r), glue // gcd(glue, r) * gcd(every, r)}:
+            root, power = perfect_root(g * r)
+            forms[h].append((g, m + 1, g) if r == g else (root, power * m, g**m))
+    witness = []
+    for a, component in zip(x1, plan):
+        a %= modulus
+        terms = [
+            min(((b, o, c * f) for b, o, f in forms[h]), key=lambda t: len("%d%d%d" % t))
+            for h, c in component
+        ]
+        witness.append(Pseudonumber(a, [(glue, 1, -a * glue), *terms], pi))
+    return witness
+
+
+def _rest_rational(rest, det, numerators):
     """The rest side of a nonsingular square system: its diagonal equations
     D * x_i = n_i, where x = n / D is the rational solution.
 
     Every prime of D on the rest has infinite exponent, so with g the part of
     |D| there, all of them are solvable exactly when g divides every n_i;
     then n_i / D = a_i / h_i with h_i a unit on the rest, and
-    ``[h_i^(w-1)]`` is its inverse.  Otherwise g refutes: adj(A)*A = det(A)*I
-    makes n = adj(A)*c vanish mod g for any solution of A*x = c.
+    ``y_i = a_i * [h_i^(w-1)]``, given as the pairs (h_i, a_i).  Otherwise g
+    refutes: adj(A)*A = det(A)*I makes n = adj(A)*c vanish mod g for any
+    solution of A*x = c.
     """
     g = rest.gcd(abs(det))
     if any(n % g for n in numerators):
         return SystemRefutation(g, "diagonal equation unsolvable")
-    y = []
+    plan = []
     for n in numerators:
         f = gcd(n, det)
         a, h = n // f, det // f
-        if h < 0:
-            a, h = -a, -h
-        y.append(
-            from_integer(a) if h == 1
-            else integer_combination(0, ((a, omega_power(pi, h, 1)),))
-        )
-    return y
+        plan.append([(abs(h), a if h > 0 else -a)] if a else [])
+    return plan
 
 
-def _rest_smith(pi, rest, integer_matrix, targets):
+def _rest_smith(rest, integer_matrix, targets):
     """The rest side of a singular or non-square system: with L*A*R = D and
     t = L*c, each diagonal equation D_ii * z_i = t_i is decided by the gcd
-    test on integers, in order.  Only once all of them hold is
-    z_i = (t_i/g) * [(D_ii/g)^(w-1)] built, its bracket once, and each
-    y_j = sum_i R_ji * z_i made in one construction."""
+    test on integers, in order.  Once all of them hold,
+    z_i = (t_i/g) * [(D_ii/g)^(w-1)], and y_j = sum_i R_ji * z_i is given as
+    the pairs (D_ii/g, R_ji * t_i/g)."""
     snf = smith_normal_form(integer_matrix)
     diagonal = snf.diagonal()
     quotients = []
@@ -297,12 +328,9 @@ def _rest_smith(pi, rest, integer_matrix, targets):
         g = rest.gcd(d)
         if t % g:
             return SystemRefutation(g, "diagonal equation unsolvable")
-        quotients.append((i, t // g, d // g))
-    brackets = [(i, a, omega_power(pi, h, 1)) for i, a, h in quotients]
-    return [
-        integer_combination(0, ((row[i] * a, bracket) for i, a, bracket in brackets))
-        for row in snf.right.entries
-    ]
+        if t:
+            quotients.append((i, t // g, d // g))
+    return [[(h, row[i] * a) for i, a, h in quotients if row[i]] for row in snf.right.entries]
 
 
 def _residues(pi, values, n):

@@ -232,6 +232,10 @@ MALFORMED_INPUTS = {
         ["reduce"],
         json.dumps(dict(REDUCE_DOC, pi=PI3, equations=["x = y = x"])),
     ),
+    "reduce-equation-bad-power": (
+        ["reduce"],
+        json.dumps(dict(REDUCE_DOC, pi=PI3, equations=["x = y^(w-2)"])),
+    ),
     "oracle-term-bad-residue": (
         ["oracle", "term", "--pi", PI3, "--modulus", "3", "--variables", "x",
          "--assign", "x=abc", "--expr", "x"],

@@ -24,6 +24,7 @@ from profint import (
     is_zero,
     member_of_closure,
     omega_closure,
+    parse_pseudonumber,
     parse_semilinear,
     parse_supernatural,
     parse_term,
@@ -91,6 +92,19 @@ def test_from_document_needs_exactly_one_equals_sign():
         with pytest.raises(InputError) as caught:
             EquationSystem.from_document(dict(doc, equations=[text]))
         assert str(caught.value) == f"equation {text!r} needs exactly one '='"
+
+
+def test_from_document_names_the_whole_equation():
+    doc = {"alphabet": ["a"], "variables": ["x", "y"], "constraints": {"x": "(1)", "y": "(1)"}}
+    for text, message in (
+        ("x = y^(w-2)", "only the power w-1 is allowed in 'y^(w-2)'"),
+        ("= x", "expected a variable or '(' in '', got None"),
+        ("x*(y = x", "unexpected end of input in 'x*(y'"),
+        ("x = z", "unknown variable 'z' (declared: x, y)"),
+    ):
+        with pytest.raises(InputError) as caught:
+            EquationSystem.from_document(dict(doc, equations=["x = x", text]))
+        assert str(caught.value) == f"equation {text!r}: {message}"
 
 
 def test_no_equations_needs_only_membership():
@@ -496,8 +510,12 @@ def test_branch_rows_scale_skips_cancelled_keys():
     )
     assert assert_rows_match_front(pi, system) == 1
     witness = decide_and_witness(pi, system)
-    assert [str(c) for c in witness.coefficients["x"]] == ["1 - 4*[2^(w-1)]"]
-    assert [str(v) for v in witness.assignment["x"]] == ["2 - 4*[2^(w-1)]", "0"]
+    # the rest side's solution -1 already solves the system mod 2, so it is
+    # the witness; the glued one before it, 1 - 4*[2^(w-1)], is equal to it
+    assert [str(c) for c in witness.coefficients["x"]] == ["-1"]
+    assert [str(v) for v in witness.assignment["x"]] == ["0", "0"]
+    assert equal_in_ab(pi, witness.coefficients["x"][0], parse_pseudonumber("1 - 4*[2^(w-1)]", pi))
+    assert equal_in_ab(pi, witness.assignment["x"][0], parse_pseudonumber("2 - 4*[2^(w-1)]", pi))
 
 
 def linked_components(system, forms):

@@ -37,6 +37,7 @@ from conftest import (
     random_supernatural,
 )
 from reference_congruences import solve_congruence, solve_congruences_mod
+from reference_solver import reference_solve_split
 
 PI = parse_supernatural("3^1,5^inf;default=0")
 
@@ -793,12 +794,12 @@ def test_each_modulus_checked_once(monkeypatch):
 # -- the rest side decides on integers, then builds each component once -------
 
 
-def count_builders(monkeypatch):
-    """Calls of the two builders of the rest side and the glue, by name."""
-    calls = {"omega_power": 0, "integer_combination": 0}
-    for name in calls:
-        def counted(*args, _name=name, _original=getattr(solver_module, name)):
-            calls[_name] += 1
+def count_constructions(monkeypatch):
+    """A list that gets one entry per pseudonumber the solver's core builds."""
+    calls = []
+    for name in ("Pseudonumber", "from_integer"):
+        def counted(*args, _original=getattr(solver_module, name)):
+            calls.append(args)
             return _original(*args)
 
         monkeypatch.setattr(solver_module, name, counted)
@@ -806,7 +807,7 @@ def count_builders(monkeypatch):
 
 
 def test_rest_smith_builds_nothing_before_every_diagonal_holds(monkeypatch):
-    calls = count_builders(monkeypatch)
+    calls = count_constructions(monkeypatch)
     pi = parse_supernatural("2^inf,3^inf;default=0")  # M = 1, the rest is pi
     # L*A*R = diag(1, 2) with L = R = I, so t = c: z_0 = 5 passes first
     matrix = SigmaMatrix([[1, 0], [0, 2], [0, 0]], pi)
@@ -816,98 +817,52 @@ def test_rest_smith_builds_nothing_before_every_diagonal_holds(monkeypatch):
     ):
         refuted = solve_system(pi, matrix, rhs)
         assert not refuted and (refuted.reason, refuted.modulus) == (reason, modulus)
-        assert calls == {"omega_power": 0, "integer_combination": 0}
+        assert calls == []
     solved = solve_system(pi, matrix, [5, 4, 0])
     assert [str(x) for x in solved] == ["5", "2"]
-    # one bracket per nonzero diagonal, one construction per component in
-    # _rest_smith and one more in the glue
-    assert calls == {"omega_power": 2, "integer_combination": 4}
+    assert len(calls) == 2  # one construction per component, and no glue
 
     rng = random.Random(1830)
-    refuted = 0
+    refuted = dict.fromkeys(
+        ("congruence system unsolvable", "diagonal equation unsolvable",
+         "zero row with nonzero right side"), 0,
+    )
     for round_ in range(300):
         pi = ambient_of_kind(rng, ("finite", "default 0", "default inf")[round_ % 3])
         rows, cols = rng.sample(range(1, 5), 2)  # never square: always Smith
         matrix = SigmaMatrix(
             [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)], pi
         )
-        for name in calls:
-            calls[name] = 0
-        outcome = solve_system(pi, matrix, [rng.randint(-20, 20) for _ in range(rows)])
-        if not outcome and outcome.reason != "congruence system unsolvable":
-            refuted += 1
-            assert calls == {"omega_power": 0, "integer_combination": 0}
-    assert refuted > 30
+        if round_ % 2:  # a bracket on the right splits its base off: M > 1
+            rhs = [random_pseudonumber(rng, pi, max_terms=1, base_limit=14, coeff_limit=20,
+                                       offset_limit=2) for _ in range(rows)]
+        else:
+            rhs = [rng.randint(-20, 20) for _ in range(rows)]
+        del calls[:]
+        outcome = solve_system(pi, matrix, rhs)
+        if outcome:
+            assert len(calls) == cols
+        else:
+            refuted[outcome.reason] += 1
+            assert calls == []
+    assert min(refuted.values()) > 10, refuted
 
 
-def reference_rest_smith(pi, rest, integer_matrix, targets):
-    """_rest_smith by ring operations: each z_i built as its diagonal
-    passes, then y = R*z multiplied out one ring operation at a time."""
-    snf = smith_normal_form(integer_matrix)
-    diagonal = snf.diagonal()
-    z = [from_integer(0)] * integer_matrix.cols
-    for i, t in enumerate(snf.left.mul_vec(targets)):
-        d = diagonal[i] if i < len(diagonal) else 0
-        if d == 0:
-            if not rest.congruent(t, 0):
-                return SystemRefutation(
-                    refuting_modulus(rest, t), "zero row with nonzero right side"
-                )
-            continue
-        g = rest.gcd(d)
-        if t % g:
-            return SystemRefutation(g, "diagonal equation unsolvable")
-        z[i] = (t // g) * omega_power(pi, d // g, 1)
-    return snf.right.mul_vec(z)
+def integer_request_system(rng, pi, n):
+    """An n x n system as the benchmark's integer_systems builds one: entries
+    below 100 in absolute value, and the right side (B x0) * [b^(w-k)] for
+    an integer vector x0 and a base b of 2-14 with finite exponents."""
+    bases = [b for b in range(2, 15) if pi.infinite_part(b) == 1]
+    matrix = [[rng.randint(-99, 99) for _ in range(n)] for _ in range(n)]
+    x0 = [rng.randint(-9, 9) for _ in range(n)]
+    bracket = omega_power(pi, rng.choice(bases), rng.randint(1, 3))
+    return SigmaMatrix(matrix, pi), [sum(a * x for a, x in zip(row, x0)) * bracket for row in matrix]
 
 
-def reference_rest_rational(pi, rest, det, numerators):
-    """_rest_rational by ring operations: each a_i/h_i built as the
-    product a_i * [h_i^(w-1)]."""
-    g = rest.gcd(abs(det))
-    if any(n % g for n in numerators):
-        return SystemRefutation(g, "diagonal equation unsolvable")
-    y = []
-    for n in numerators:
-        f = gcd(n, det)
-        a, h = n // f, det // f
-        if h < 0:
-            a, h = -a, -h
-        y.append(from_integer(a) if h == 1 else a * omega_power(pi, h, 1))
-    return y
-
-
-def reference_solve_split(pi, rows):
-    """The solver's core with reference_rest_rational, reference_rest_smith
-    and the glue x1 + G^w * (y - x1) by ring operations."""
-    rational = (
-        solve_nonsingular(rows.matrix, rows.targets)
-        if rows.matrix.rows == rows.matrix.cols else None
-    )
-    det = rational[0] if rational else 1
-    split_primes = pi.positive_finite_primes_of(lcm(*rows.scales) * det)
-    finite_modulus, rest = pi.split(split_primes)
-    residue_matrix, residue_rhs = rows.residues(finite_modulus)
-    x1, refuted = solve_congruences(
-        IntMatrix(residue_matrix), residue_rhs, [(p, pi.exponent_of(p)) for p in split_primes]
-    )
-    if x1 is None:
-        return SystemRefutation(refuted, "congruence system unsolvable")
-    if rest.is_finite() and rest.as_integer() == 1:
-        return [from_integer(a) for a in x1]
-    if rational:
-        y = reference_rest_rational(pi, rest, *rational)
-    else:
-        y = reference_rest_smith(pi, rest, rows.matrix, rows.targets)
-    if isinstance(y, SystemRefutation):
-        return y
-    glue = omega_closure(pi, prod(split_primes))
-    return [from_integer(a) + glue * (b - from_integer(a)) for a, b in zip(x1, y)]
-
-
-def test_rest_side_and_glue_match_the_ring_operations():
-    rng = random.Random(1831)
-    seen = {"smith": 0, "rational": 0, "refuted": 0}
+def differential_systems(rng):
+    """(pi, matrix, rhs): 400 systems of 1-4 rows and columns with sigma or
+    integer entries over ambients of each kind, half of them solvable by
+    construction, then 40 square integer systems of 5-8 rows."""
     for round_ in range(400):
         pi = ambient_of_kind(rng, ("finite", "default 0", "default inf")[round_ % 3])
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
@@ -923,14 +878,90 @@ def test_rest_side_and_glue_match_the_ring_operations():
             rhs = matrix.mul_vec([entry() for _ in range(cols)])
         else:
             rhs = [entry() for _ in range(rows)]
+        yield pi, matrix, rhs
+    pi = parse_supernatural("2^3,3^2,5^inf,7^1;default=0")
+    for round_ in range(40):
+        yield (pi, *integer_request_system(rng, pi, 5 + round_ % 4))
+
+
+def unique_mod(residue_matrix, p):
+    """Whether a system with these residue rows has one solution mod p^e:
+    square and invertible mod p."""
+    matrix = IntMatrix(residue_matrix)
+    return matrix.rows == matrix.cols and matrix.determinant() % p != 0
+
+
+def test_rest_first_matches_the_reference_core(monkeypatch):
+    glued = []
+    glue = solver_module._glue
+    monkeypatch.setattr(solver_module, "_glue", lambda *args: glued.append(args) or glue(*args))
+    rng = random.Random(1831)
+    seen = dict.fromkeys(
+        ("smith", "rational", "refuted", "y alone", "glued", "shorter", "equal", "other solution"),
+        0,
+    )
+    for pi, matrix, rhs in differential_systems(rng):
         split = solver_module._split_rows(matrix, rhs)
+        del glued[:]
         outcome = solve_system(pi, split)
         expected = reference_solve_split(pi, split)
+        square = split.matrix.rows == split.matrix.cols
+        seen["rational" if square and split.matrix.determinant() else "smith"] += 1
         if not expected:
-            assert outcome == expected
+            assert not outcome
+            assert (outcome.reason, outcome.modulus) == (expected.reason, expected.modulus)
             seen["refuted"] += 1
             continue
-        assert outcome == expected and [str(x) for x in outcome] == [str(x) for x in expected]
-        assert [x.pi for x in outcome] == [x.pi for x in expected]
-        seen["rational" if rows == cols and split.matrix.determinant() else "smith"] += 1
-    assert min(seen.values()) > 40, seen
+        assert outcome and len(outcome) == len(expected)
+        assert verify_solution(pi, matrix, rhs, outcome)
+        printed, before = (sum(len(str(x)) for x in v) for v in (outcome, expected))
+        assert printed <= before, (pi, matrix.entries, rhs, outcome, expected)
+        seen["shorter"] += printed < before
+        seen["glued" if glued else "y alone"] += 1
+        # both witnesses are y on the rest and x1 at the glued prime powers;
+        # at another p^e of M the reference has x1 and this core y, both
+        # solutions there, so they agree wherever the solution is unique
+        det = split.matrix.determinant() if square else 0
+        split_primes = pi.positive_finite_primes_of(lcm(*split.scales) * (det or 1))
+        idempotent = omega_closure(pi, prod(split_primes))
+        assert all(equal_in_ab(pi, idempotent * x, idempotent * y)
+                   for x, y in zip(outcome, expected))
+        failing = glued[0][1] if glued else []
+        residue_matrix, _ = split.residues(pi.split(split_primes)[0])
+        agree = True
+        for p in split_primes:
+            q = p**pi.exponent_of(p)
+            same = all(eval_mod(x, q, pi) == eval_mod(y, q, pi) for x, y in zip(outcome, expected))
+            if (p, pi.exponent_of(p)) in failing or unique_mod(residue_matrix, p):
+                assert same, (pi, matrix.entries, rhs, p)
+            agree = agree and same
+        components_equal = all(equal_in_ab(pi, x, y) for x, y in zip(outcome, expected))
+        assert components_equal == agree
+        seen["equal" if components_equal else "other solution"] += 1
+    assert min(seen.values()) > 20, seen
+
+
+def test_no_elimination_where_y_solves_every_prime_power(monkeypatch):
+    calls = []
+
+    def counted(matrix, rhs, prime_powers):
+        calls.append(list(prime_powers))
+        return solve_congruences(matrix, rhs, prime_powers)
+
+    monkeypatch.setattr(solver_module, "solve_congruences", counted)
+    pi = parse_supernatural("2^3,3^2,5^inf,7^1;default=0")
+    # x0 = (1, 3*[11^(w-1)]) is the rational solution y itself; det = -2*11^2
+    # splits M = 8 off, and y solves the system mod 8 too
+    matrix = SigmaMatrix([[1, 2], [3, 4]], pi)
+    x0 = [from_integer(1), 3 * omega_power(pi, 11, 1)]
+    outcome = solve_system(pi, matrix, matrix.mul_vec(x0))
+    assert calls == [] and outcome == x0
+    assert [str(x) for x in outcome] == ["1", "3*[11^(w-1)]"]
+    # 3x = 6*[2^(w-1)]: the rest side is 6x = 6, y = 1, which fails mod 8 and
+    # holds mod 9, so x1 = 0 is solved mod 8 alone and glued with 2^w
+    matrix = SigmaMatrix([[3]], pi)
+    rhs = [6 * omega_power(pi, 2, 1)]
+    outcome = solve_system(pi, matrix, rhs)
+    assert calls == [[(2, 3)]]
+    assert [str(x) for x in outcome] == ["2*[2^(w-1)]"]
+    assert verify_solution(pi, matrix, rhs, outcome)

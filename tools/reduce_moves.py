@@ -1,27 +1,31 @@
 """Count what moved between two checkouts' answers on the benchmark's
-``reduce`` streams.
+``reduce``, ``sigma_systems`` and ``integer_systems`` streams.
 
     python3 tools/reduce_moves.py PARENT_CHECKOUT
 
-Runs the ``reduce`` streams of ``tools/stream_hashes.py`` (the first 300
-requests of ``reduce/<seed>/0`` for seeds 11 and 12) through
+Runs those streams of ``tools/stream_hashes.py`` (the first 300, 150 and 30
+requests of ``<workload>/<seed>/0`` for seeds 11 and 12) through
 ``bench/workloads.py``'s ``execute``, once with the ``src/`` and ``bench/`` of
 the checkout this script sits in and once with those of PARENT_CHECKOUT, each
-in its own process, and prints one JSON object that counts, over all pairs of
-answers:
+in its own process, and prints one JSON object, keyed by workload, that
+counts over all pairs of answers:
 
 - ``unchanged``: identical printed answers;
-- ``verdicts_moved`` and ``branches_moved``: a different verdict, or on a
-  solvable request a different branch choice;
+- ``verdicts_moved``: a different verdict;
 - ``witnesses_changed``, ``witnesses_shorter``, ``witnesses_longer``: solvable
-  requests with the same branches whose printed answer changed, and by how it
-  changed in length (the bytes the benchmark counts as witness size);
-- ``quotients_moved``, ``quotients_grown``, ``quotients_shrunk``: refuting
-  quotients of the same branch combination whose modulus changed;
-- ``combined_grown``, ``combined_shrunk``: refuted requests whose combined
-  modulus changed.
+  requests (with the same branches, for ``reduce``) whose printed answer
+  changed, and by how it changed in length (the bytes the benchmark counts
+  as witness size);
+- for ``reduce``, ``branches_moved``: a solvable request with a different
+  branch choice; ``quotients_moved``, ``quotients_grown``,
+  ``quotients_shrunk``: refuting quotients of the same branch combination
+  whose modulus changed; ``combined_grown``, ``combined_shrunk``: refuted
+  requests whose combined modulus changed;
+- for the two solve workloads, ``moduli_moved``: refuted requests whose
+  refuting modulus or reason changed.
 
-Exits 1 if any verdict or branch choice moved, 0 otherwise.
+Exits 1 if any verdict, ``reduce`` branch choice or solve modulus moved, 0
+otherwise.
 """
 from __future__ import annotations
 
@@ -40,27 +44,41 @@ COUNTS = (
     "quotients_moved", "quotients_grown", "quotients_shrunk",
     "combined_grown", "combined_shrunk",
 )
+SOLVE_COUNTS = (
+    "unchanged", "verdicts_moved", "moduli_moved",
+    "witnesses_changed", "witnesses_shorter", "witnesses_longer",
+)
+WORKLOADS = ("reduce", "sigma_systems", "integer_systems")
 
 
-def emit(checkout: str, seed: int):
-    """Print the answer text of each request of stream reduce/<seed>/0, one
-    JSON string per line, with the checkout's profint and workloads."""
+def emit(checkout: str, workload: str, seed: int):
+    """Print the answer of each request of stream <workload>/<seed>/0, one
+    JSON line each, with the checkout's profint and workloads: the printed
+    text of a ``reduce`` answer, the list of printed fields of a solve."""
     root = Path(checkout).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
     import workloads
 
-    stream = f"reduce/{seed}/0"
-    for (printed,) in stream_answers(workloads.WORKLOADS["reduce"], stream, REQUESTS["reduce"]):
-        print(json.dumps(printed))
+    stream = f"{workload}/{seed}/0"
+    for printed in stream_answers(workloads.WORKLOADS[workload], stream, REQUESTS[workload]):
+        print(json.dumps(printed[0] if workload == "reduce" else list(printed)))
 
 
-def answers(checkout, seed: int) -> list[str]:
-    """The answer texts of one checkout, from a process of its own."""
+def answers(checkout, workload: str, seed: int) -> list:
+    """The answers of one checkout's stream, from a process of its own."""
     run = subprocess.run(
-        [sys.executable, __file__, str(checkout), "--emit", str(seed)],
+        [sys.executable, __file__, str(checkout), "--emit", workload, str(seed)],
         check=True, capture_output=True, text=True,
     )
     return [json.loads(line) for line in run.stdout.splitlines()]
+
+
+def _count_length(counts, old_size, new_size):
+    counts["witnesses_changed"] += 1
+    if new_size < old_size:
+        counts["witnesses_shorter"] += 1
+    elif new_size > old_size:
+        counts["witnesses_longer"] += 1
 
 
 def _count_direction(counts, prefix, old, new):
@@ -71,7 +89,8 @@ def _count_direction(counts, prefix, old, new):
 
 
 def compare(parent: list[str], change: list[str]) -> dict:
-    """The counts the module docstring lists, over pairs of answer texts."""
+    """The counts the module docstring lists, over pairs of ``reduce``
+    answer texts."""
     counts = dict.fromkeys(COUNTS, 0)
     for old_text, new_text in zip(parent, change, strict=True):
         if old_text == new_text:
@@ -84,11 +103,7 @@ def compare(parent: list[str], change: list[str]) -> dict:
             if old["branches"] != new["branches"]:
                 counts["branches_moved"] += 1
                 continue
-            counts["witnesses_changed"] += 1
-            if len(new_text) < len(old_text):
-                counts["witnesses_shorter"] += 1
-            elif len(new_text) > len(old_text):
-                counts["witnesses_longer"] += 1
+            _count_length(counts, len(old_text), len(new_text))
         else:
             moduli = {tuple(q["branches"]): q["modulus"] for q in old["refuting_quotients"]}
             for q in new["refuting_quotients"]:
@@ -100,21 +115,41 @@ def compare(parent: list[str], change: list[str]) -> dict:
     return counts
 
 
+def compare_solves(parent: list[list[str]], change: list[list[str]]) -> dict:
+    """The counts the module docstring lists, over pairs of solve answers:
+    ``["solvable", verified, *witness]`` or ``["unsolvable", modulus,
+    reason]``."""
+    counts = dict.fromkeys(SOLVE_COUNTS, 0)
+    for old, new in zip(parent, change, strict=True):
+        if old == new:
+            counts["unchanged"] += 1
+        elif old[0] != new[0]:
+            counts["verdicts_moved"] += 1
+        elif old[0] == "solvable":
+            _count_length(counts, sum(map(len, old)), sum(map(len, new)))
+        else:
+            counts["moduli_moved"] += 1
+    return counts
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", metavar="PARENT_CHECKOUT")
-    parser.add_argument("--emit", type=int, metavar="SEED", help=argparse.SUPPRESS)
+    parser.add_argument("--emit", nargs=2, metavar=("WORKLOAD", "SEED"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.emit is not None:
-        emit(args.parent, args.emit)
+        emit(args.parent, args.emit[0], int(args.emit[1]))
         return 0
-    parent, change = [], []
-    for seed in SEEDS:
-        parent += answers(args.parent, seed)
-        change += answers(ROOT, seed)
-    counts = compare(parent, change)
+    counts = {}
+    for workload in WORKLOADS:
+        parent, change = [], []
+        for seed in SEEDS:
+            parent += answers(args.parent, workload, seed)
+            change += answers(ROOT, workload, seed)
+        counts[workload] = (compare if workload == "reduce" else compare_solves)(parent, change)
     print(json.dumps(counts))
-    return 1 if counts["verdicts_moved"] or counts["branches_moved"] else 0
+    moved = ("verdicts_moved", "branches_moved", "moduli_moved")
+    return 1 if any(c.get(name) for c in counts.values() for name in moved) else 0
 
 
 if __name__ == "__main__":
